@@ -171,14 +171,16 @@ class FaultPlan:
         """Fire matching specs at one stage boundary.
 
         Called by :meth:`BootPipeline._run_stages` before the stage body.
-        Non-fatal kinds mutate shared state (cache-drop); fatal kinds
-        raise :class:`InjectedFault`, which the pipeline attributes and
-        the monitor wraps into a :class:`BootFailure`.
+        Every fired spec is appended to ``ctx.faults``, where the boot's
+        publisher counts it.  Non-fatal kinds mutate shared state
+        (cache-drop); fatal kinds raise :class:`InjectedFault`, which the
+        pipeline attributes and the monitor wraps into a
+        :class:`BootFailure`.
         """
         for spec in self.matches(
             stage.name, boot_id=ctx.boot_id, boot_index=ctx.boot_index
         ):
-            self._count(spec, ctx)
+            ctx.faults.append(spec)
             if spec.kind == "cache-drop":
                 self._drop_cache_entry(ctx)
                 continue
@@ -188,18 +190,6 @@ class FaultPlan:
                 stage=stage.name,
                 kind=spec.kind,
             )
-
-    def _count(self, spec: FaultSpec, ctx: "StageContext") -> None:
-        """One ``repro_fault_injections_total`` tick per fired spec."""
-        registry = getattr(ctx.telemetry, "registry", None)
-        if registry is None:
-            return
-        registry.counter(
-            "repro_fault_injections_total",
-            help="Faults fired by the installed fault plan",
-            stage=spec.stage,
-            kind=spec.kind,
-        ).inc()
 
     def _drop_cache_entry(self, ctx: "StageContext") -> None:
         """The non-fatal kind: this boot's parse entry vanishes."""

@@ -117,6 +117,29 @@ class CacheStats:
 _SCOPE_FIELDS = ("hits", "misses", "evictions", "disk_hits", "parses")
 
 
+def count_cache_traffic(
+    registry: MetricsRegistry, *, hits: int = 0, misses: int = 0,
+    evictions: int = 0,
+) -> None:
+    """Tick the cache traffic counters by one operation's deltas.
+
+    The process backend replays each worker's scope counts through the
+    same call, so the counters are registered in this one place.
+    """
+    if hits:
+        registry.counter(
+            "repro_cache_hits_total", help="Boot-artifact cache hits"
+        ).inc(hits)
+    if misses:
+        registry.counter(
+            "repro_cache_misses_total", help="Boot-artifact cache misses"
+        ).inc(misses)
+    if evictions:
+        registry.counter(
+            "repro_cache_evictions_total", help="Boot-artifact cache evictions"
+        ).inc(evictions)
+
+
 class CacheScope:
     """Per-launch cache attribution: counts only the calls that carry it.
 
@@ -312,18 +335,9 @@ class BootArtifactCache:
         registry's own locks are leaf locks; no path leads back here.
         """
         registry = self._metrics()
-        if hits:
-            registry.counter(
-                "repro_cache_hits_total", help="Boot-artifact cache hits"
-            ).inc(hits)
-        if misses:
-            registry.counter(
-                "repro_cache_misses_total", help="Boot-artifact cache misses"
-            ).inc(misses)
-        if evictions:
-            registry.counter(
-                "repro_cache_evictions_total", help="Boot-artifact cache evictions"
-            ).inc(evictions)
+        count_cache_traffic(
+            registry, hits=hits, misses=misses, evictions=evictions
+        )
         registry.gauge(
             "repro_cache_entries", help="Boot-artifact cache occupancy"
         ).set(entries)

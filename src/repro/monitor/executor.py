@@ -13,10 +13,17 @@ backends behind one interface:
 * :class:`ProcessBootExecutor` — a ``ProcessPoolExecutor`` whose workers
   receive the kernel bytes as zero-copy
   :class:`~repro.monitor.sharedmem.SharedBlob` views, boot against their
-  own monitor instance, and return compact outcome records (report +
-  cache-scope counts + profiler cells) that the parent **replays** into
-  its own telemetry/profiler/trace — the same deferred-materialization
-  trick request tracing uses, stretched across a process boundary.
+  own monitor instance, and return compact outcome records that the
+  parent **replays** — the same deferred-materialization trick request
+  tracing uses, stretched across a process boundary.
+
+A worker ships back data, never derived telemetry: the report or the
+failure, the arguments of the boot's
+:meth:`~repro.telemetry.Telemetry.publish_boot` call (timeline, outcome,
+fired fault specs), cache-scope counts and profiler cells.  The parent
+makes the same ``publish_boot`` call the thread backend makes, so every
+boot's metrics, stage events and ``boot/<i>`` trace match, failed boots
+included.
 
 Both backends produce byte-identical layouts for the same seeds: every
 boot is a pure function of (config, seed, cost model), and the process
@@ -33,25 +40,30 @@ work, while the process engine schedules it across workers.  The
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import BootFailure, MonitorError
-from repro.monitor.artifact_cache import BootArtifactCache, CacheScope
+from repro.monitor.artifact_cache import (
+    BootArtifactCache,
+    CacheScope,
+    count_cache_traffic,
+)
 from repro.monitor.config import BootFormat, VmConfig
 from repro.monitor.report import BootReport
 from repro.monitor.sharedmem import SharedArtifactStore, SharedBlob
 from repro.monitor.vmm import boot_identity
 from repro.simtime.trace import BootStep, Timeline
-from repro.telemetry import NS_PER_MS, Telemetry
+from repro.telemetry import Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.plan import FaultPlan
     from repro.monitor.vmm import Firecracker
     from repro.simtime.costs import CostModel
     from repro.telemetry.profiler import CostProfiler
+    from repro.telemetry.tracing import TraceContext
 
 __all__ = [
     "BootExecutor",
@@ -213,9 +225,9 @@ def _worker_init(spec: _WorkerSpec) -> None:
     relocs = spec.relocs_blob.bytes() if spec.relocs_blob is not None else None
     kernel = replace(spec.cfg.kernel, vmlinux=vmlinux, relocs=relocs)
     cfg = replace(spec.cfg, kernel=kernel)
-    # worker-local telemetry is a write sink only; the parent replays the
-    # report's spans into the real registries, so nothing here is read
-    telemetry = Telemetry()
+    # the boot's publish call is captured for the parent; the cache and
+    # entropy writes that also land here are never read
+    telemetry = _ShippedTelemetry()
     cache = BootArtifactCache(
         max_entries=spec.cache_entries,
         registry=telemetry.registry,
@@ -237,6 +249,18 @@ def _worker_init(spec: _WorkerSpec) -> None:
     _WORKER.update(cfg=cfg, vmm=vmm, want_profiler=spec.want_profiler)
 
 
+class _ShippedTelemetry(Telemetry):
+    """Worker-local telemetry that keeps each boot's publish call as data.
+
+    :class:`_ReplayFuture` makes the call in the parent, with its trace.
+    """
+
+    shipped: tuple | None = None
+
+    def publish_boot(self, boot_id, timeline, *, trace=None, **outcome):
+        self.shipped = (boot_id, timeline, outcome)
+
+
 def _export_profiler(profiler: "CostProfiler | None") -> dict | None:
     if profiler is None:
         return None
@@ -251,9 +275,9 @@ def _export_profiler(profiler: "CostProfiler | None") -> dict | None:
 def _worker_boot(index: int, seed: int, attempt: int) -> dict:
     """One boot inside a worker; returns an outcome-union record.
 
-    Never raises: failures come back as data so the parent can replay
-    their attribution and rethrow a reconstructed
-    :class:`~repro.errors.BootFailure` on its own side of the boundary.
+    Never raises: a failure comes back as a pickled, attributed
+    :class:`~repro.errors.BootFailure` the parent rethrows on its own
+    side of the boundary.
     """
     from repro.telemetry.profiler import CostProfiler
 
@@ -263,10 +287,11 @@ def _worker_boot(index: int, seed: int, attempt: int) -> dict:
     profiler = CostProfiler() if _WORKER["want_profiler"] else None
     # pool workers run one task at a time, so per-task reassignment is safe
     vmm.profiler = profiler
-    boot_cfg = replace(cfg, seed=seed)
+    vmm.telemetry.shipped = None
+    report = failure = None
     try:
         report = vmm.boot(
-            boot_cfg,
+            replace(cfg, seed=seed),
             boot_index=index,
             attempt=attempt,
             cache_scope=scope,
@@ -279,116 +304,53 @@ def _worker_boot(index: int, seed: int, attempt: int) -> dict:
             index=index,
             seed=seed,
         )
-        return {
-            "ok": False,
-            "failure": failure.to_json(),
-            "scope": scope.counts(),
-            "profiler": _export_profiler(profiler),
-        }
     return {
-        "ok": True,
         "report": report,
+        "failure": failure,
+        "boot": vmm.telemetry.shipped,
         "scope": scope.counts(),
         "profiler": _export_profiler(profiler),
     }
 
 
+@dataclass
 class _ReplayFuture:
     """Wraps a worker future; ``result()`` replays the outcome record.
 
-    Replay order matches the thread path: profiler cells and cache-scope
-    counts first, then per-stage telemetry, the monitor counters, and the
-    trace mirror — or the failure counter plus a reconstructed
-    :class:`BootFailure` raise.
+    Profiler cells and cache-scope counts are absorbed first, then the
+    boot's shipped timeline is published with the parent's trace — the
+    same call the thread backend makes — and finally the report is
+    returned or the worker's :class:`BootFailure` raised.
     """
 
-    def __init__(
-        self,
-        future,
-        *,
-        seed: int,
-        attempt: int,
-        trace,
-        scope: CacheScope,
-        telemetry: Telemetry,
-        profiler: "CostProfiler | None",
-    ) -> None:
-        self._future = future
-        self._seed = seed
-        self._attempt = attempt
-        self._trace = trace
-        self._scope = scope
-        self._telemetry = telemetry
-        self._profiler = profiler
+    future: Future
+    trace: "TraceContext | None"
+    scope: CacheScope
+    telemetry: Telemetry
+    profiler: "CostProfiler | None"
 
     def result(self) -> BootReport:
-        out = self._future.result()
-        self._scope.absorb(out["scope"])
-        self._replay_cache_counters(out["scope"])
-        if self._profiler is not None and out["profiler"] is not None:
-            self._profiler.absorb(
+        out = self.future.result()
+        counts = out["scope"]
+        self.scope.absorb(counts)
+        count_cache_traffic(
+            self.telemetry.registry,
+            hits=counts["hits"],
+            misses=counts["misses"],
+            evictions=counts["evictions"],
+        )
+        if self.profiler is not None and out["profiler"] is not None:
+            self.profiler.absorb(
                 out["profiler"]["cells"], out["profiler"]["boot_ns"]
             )
-        if not out["ok"]:
-            failure = out["failure"]
-            self._telemetry.registry.counter(
-                "repro_boot_failures_total",
-                help="Boots aborted by a stage failure",
-                stage=failure["stage"],
-                kind=failure["kind"],
-            ).inc()
-            raise BootFailure(
-                failure["error"],
-                boot_id=failure["boot_id"],
-                stage=failure["stage"],
-                kind=failure["kind"],
-                attempt=failure["attempt"],
-                index=failure["index"],
-                seed=failure["seed"],
+        if out["boot"] is not None:
+            boot_id, timeline, outcome = out["boot"]
+            self.telemetry.publish_boot(
+                boot_id, timeline, trace=self.trace, **outcome
             )
-        report: BootReport = out["report"]
-        boot_id = boot_identity(report.kernel_name, self._seed)
-        for span in report.timeline.spans:
-            self._telemetry.stage_span(boot_id, span)
-            if self._trace is not None:
-                self._trace.span(
-                    span.name,
-                    "stage",
-                    span.start_ns,
-                    span.end_ns,
-                    attrs={
-                        "category": span.category,
-                        "principal": span.principal,
-                        "attempt": self._attempt,
-                    },
-                )
-        self._telemetry.registry.counter(
-            "repro_monitor_boots_total",
-            help="Boots completed by a monitor",
-            vmm=report.vmm_name,
-        ).inc()
-        self._telemetry.registry.histogram(
-            "repro_boot_duration_ms",
-            help="End-to-end simulated boot duration",
-            scale=NS_PER_MS,
-        ).observe(report.timeline.total_ns)
-        return report
-
-    def _replay_cache_counters(self, counts: dict) -> None:
-        registry = self._telemetry.registry
-        if counts.get("hits"):
-            registry.counter(
-                "repro_cache_hits_total", help="Boot-artifact cache hits"
-            ).inc(counts["hits"])
-        if counts.get("misses"):
-            registry.counter(
-                "repro_cache_misses_total", help="Boot-artifact cache misses"
-            ).inc(counts["misses"])
-        if counts.get("evictions"):
-            registry.counter(
-                "repro_cache_evictions_total",
-                help="Boot-artifact cache evictions",
-            ).inc(counts["evictions"])
+        if out["failure"] is not None:
+            raise out["failure"]
+        return out["report"]
 
 
 class ProcessBootExecutor(BootExecutor):
@@ -479,13 +441,7 @@ class _ProcessLaunch:
         assert boot_cfg.seed is not None  # fleet draws seeds up front
         future = self._pool.submit(_worker_boot, index, boot_cfg.seed, attempt)
         return _ReplayFuture(
-            future,
-            seed=boot_cfg.seed,
-            attempt=attempt,
-            trace=trace,
-            scope=self._scope,
-            telemetry=self._telemetry,
-            profiler=self._profiler,
+            future, trace, self._scope, self._telemetry, self._profiler
         )
 
 

@@ -16,9 +16,10 @@ thread finished first.
 
 Every launch also feeds the telemetry layer (:mod:`repro.telemetry`):
 per-boot wall windows land in the boot-event log (one Chrome-trace track
-per worker), and the fleet counters/histograms
-(``repro_fleet_boots_total``, ``repro_boot_duration_ms``, rate and
-makespan gauges) are what later perf PRs read their evidence from.
+per worker), and the fleet counters and gauges
+(``repro_fleet_boots_total``, rate and makespan) are what later perf PRs
+read their evidence from; each boot's own metrics come from its monitor's
+``publish_boot``.
 
 This module must not import :mod:`repro.analysis` (which itself imports
 ``repro.monitor``); the shared percentile/latency helpers live in the

@@ -15,7 +15,10 @@ boot pipeline (:mod:`repro.pipeline`):
 
 Every stage charges a deterministic simulated clock and emits a begin/end
 span; the returned :class:`~repro.monitor.report.BootReport` carries both
-the paper's four-way category breakdown and the per-stage spans.
+the paper's four-way category breakdown and the per-stage spans.  Once
+the pipeline finishes or aborts, ``boot_vm`` hands that timeline and the
+outcome to :meth:`~repro.telemetry.Telemetry.publish_boot`, the one place
+a boot's telemetry and trace are derived.
 
 Monitor variation is stage *substitution*, not subclass override: a
 :class:`MonitorProfile` supplies the constants (and constraints) the
@@ -28,6 +31,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, replace
+from functools import partial
 
 from typing import TYPE_CHECKING
 
@@ -42,7 +46,7 @@ from repro.monitor.vm_handle import MicroVm
 from repro.pipeline import BootPipeline, StageContext, build_boot_pipeline
 from repro.simtime.clock import SimClock
 from repro.simtime.costs import CostModel, JitterModel
-from repro.telemetry import NS_PER_MS, Telemetry, get_telemetry
+from repro.telemetry import Telemetry, get_telemetry
 from repro.telemetry.profiler import CostProfiler
 from repro.vm.portio import PortIoBus
 
@@ -173,8 +177,9 @@ class Firecracker:
         ``boot_index``/``attempt`` identify the boot to an installed
         fault plan (fleet index targeting, retry redraws); both default
         to 0 for standalone boots.  ``trace`` is an optional
-        :class:`~repro.telemetry.tracing.TraceContext` the pipeline
-        mirrors its stage spans onto; ``cache_scope`` an optional
+        :class:`~repro.telemetry.tracing.TraceContext`; the boot's
+        publisher mirrors every completed stage span onto it, for
+        aborted boots too.  ``cache_scope`` is an optional
         :class:`~repro.monitor.artifact_cache.CacheScope` the caching
         stage attributes its activity to.
         """
@@ -228,40 +233,34 @@ class Firecracker:
             vmm_name=self.profile.name,
             startup_override_ns=self.profile.startup_ns,
             guest_entry_override_ns=self.profile.guest_entry_ns,
-            telemetry=telemetry,
             boot_id=boot_identity(cfg.kernel.name, seed),
             profiler=self.profiler,
             fault_plan=self.fault_plan,
             boot_index=boot_index,
+            attempt=attempt,
+        )
+        publish = partial(
+            telemetry.publish_boot,
+            ctx.boot_id,
+            clock.timeline,
+            faults=ctx.faults,
             attempt=attempt,
             trace=trace,
         )
         try:
             self.build_pipeline(cfg).run(ctx)
         except Exception as exc:
-            self._count_failure(telemetry, exc)
+            # the pipeline stamped the stage; organic failures classify
+            # by type, injected ones by their kind
+            stage = getattr(exc, "boot_stage", None) or "unknown"
+            publish(failure=(stage, failure_kind(exc)))
             if isinstance(exc, InjectedFault):
-                raise BootFailure(
-                    str(exc),
-                    boot_id=ctx.boot_id,
-                    stage=exc.boot_stage,
-                    kind=exc.fault_kind,
-                    attempt=attempt,
-                    index=boot_index,
-                    seed=seed,
+                raise BootFailure.from_exception(
+                    exc, boot_id=ctx.boot_id, attempt=attempt,
+                    index=boot_index, seed=seed,
                 ) from exc
             raise
-
-        telemetry.registry.counter(
-            "repro_monitor_boots_total",
-            help="Boots completed by a monitor",
-            vmm=self.profile.name,
-        ).inc()
-        telemetry.registry.histogram(
-            "repro_boot_duration_ms",
-            help="End-to-end simulated boot duration",
-            scale=NS_PER_MS,
-        ).observe(clock.now_ns)
+        publish(vmm=self.profile.name)
 
         codec = (
             cfg.bzimage.header.codec
@@ -296,20 +295,6 @@ class Firecracker:
         return report, vm
 
     # -- per-boot plumbing -----------------------------------------------------
-
-    @staticmethod
-    def _count_failure(telemetry: Telemetry, exc: Exception) -> None:
-        """One ``repro_boot_failures_total{stage,kind}`` tick per abort.
-
-        Reads the attribution the pipeline stamped onto the exception;
-        organic failures classify by type, injected faults by their kind.
-        """
-        telemetry.registry.counter(
-            "repro_boot_failures_total",
-            help="Boots aborted by a stage failure",
-            stage=getattr(exc, "boot_stage", None) or "unknown",
-            kind=failure_kind(exc),
-        ).inc()
 
     def _boot_costs(self, cfg, seed) -> CostModel:
         """A per-boot :class:`CostModel` with its own seeded jitter stream.

@@ -7,6 +7,10 @@ with a begin/end :class:`~repro.simtime.trace.StageSpan` on the boot's
 timeline — charged nanoseconds, executing principal, and cache-hit
 attribution included.
 
+The timeline is the boot's only record: the pipeline emits no telemetry
+or trace.  The caller hands the finished or aborted timeline to
+:meth:`repro.telemetry.Telemetry.publish_boot`, which derives them.
+
 Builders assemble the stage list per boot flavor (Figure 5/7's columns):
 
 * ``direct``   — in-monitor (FG)KASLR over a vmlinux: startup, image
@@ -85,31 +89,17 @@ class BootPipeline:
             except Exception as exc:
                 self._attribute_failure(exc, stage, ctx)
                 raise
-            span = StageSpan(
-                name=result.stage,
-                category=result.category,
-                principal=result.principal,
-                start_ns=start_ns,
-                end_ns=ctx.clock.now_ns,
-                cache_hit=result.cache_hit,
-                detail=result.detail,
-            )
-            ctx.clock.timeline.add_span(span)
-            if ctx.telemetry is not None:
-                ctx.telemetry.stage_span(ctx.boot_id, span)
-            if ctx.trace is not None:
-                ctx.trace.span(
-                    result.stage,
-                    "stage",
-                    start_ns,
-                    ctx.clock.now_ns,
-                    attrs={
-                        "category": result.category,
-                        "principal": result.principal,
-                        "attempt": ctx.attempt,
-                    },
+            ctx.clock.timeline.add_span(
+                StageSpan(
+                    name=result.stage,
+                    category=result.category,
+                    principal=result.principal,
+                    start_ns=start_ns,
+                    end_ns=ctx.clock.now_ns,
+                    cache_hit=result.cache_hit,
+                    detail=result.detail,
                 )
-            ctx.results.append(result)
+            )
 
     @staticmethod
     def _attribute_failure(

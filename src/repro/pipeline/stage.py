@@ -32,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.core.prepared import PreparedImage
     from repro.elf.reader import ElfImage
     from repro.elf.relocs import RelocationTable
-    from repro.faults.plan import FaultPlan
+    from repro.faults.plan import FaultPlan, FaultSpec
     from repro.host.entropy import HostEntropyPool
     from repro.host.storage import HostStorage
     from repro.kernel.verify import VerificationReport
@@ -40,9 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.monitor.config import VmConfig
     from repro.monitor.vm_handle import MicroVm
     from repro.snapshot.checkpoint import Snapshot
-    from repro.telemetry.events import TelemetrySink
     from repro.telemetry.profiler import CostProfiler
-    from repro.telemetry.tracing import TraceContext
     from repro.vm.memory import GuestMemory
     from repro.vm.pagetable import PageTableWalker
     from repro.vm.portio import PortIoBus
@@ -135,9 +133,8 @@ class StageContext:
     #: snapshot-restore inputs
     snapshot: "Snapshot | None" = None
     policy: "RandomizationPolicy | None" = None
-    #: observability: the sink fed one event per completed stage, and the
-    #: boot identity those events carry (``<kernel>:<seed hex>``)
-    telemetry: "TelemetrySink | None" = None
+    #: the boot identity faults draw on and telemetry publishes under
+    #: (``<kernel>:<seed hex>``, or a restore id)
     boot_id: str = ""
     #: cost-attribution profiler; the pipeline brackets the run (and each
     #: stage) in its context frames so every charge lands attributed
@@ -148,10 +145,6 @@ class StageContext:
     fault_plan: "FaultPlan | None" = None
     boot_index: int = 0
     attempt: int = 0
-    #: request-scoped tracing: when set, the pipeline mirrors each stage
-    #: onto this causal trace so fleet boots (and backend samples) carry
-    #: the same span trees the serve engine's requests do
-    trace: "TraceContext | None" = None
 
     # -- populated by stages ---------------------------------------------------
     memory: "GuestMemory | None" = None
@@ -169,4 +162,5 @@ class StageContext:
     pt_tables_bytes: int = 0
     verification: "VerificationReport | None" = None
     vm: "MicroVm | None" = None
-    results: list[StageResult] = field(default_factory=list)
+    #: the fault specs the plan fired on this boot, in firing order
+    faults: list["FaultSpec"] = field(default_factory=list)

@@ -167,7 +167,6 @@ class SnapshotManager:
             rng=random.Random(seed),
             snapshot=snapshot,
             policy=self.policy,
-            telemetry=telemetry,
             boot_id=boot_id,
             profiler=self.profiler,
             fault_plan=self.fault_plan,
@@ -180,15 +179,14 @@ class SnapshotManager:
             # same containment contract as Firecracker.boot_vm: an
             # injected restore fault surfaces as a typed, attributed
             # BootFailure the pool/platform can degrade on
-            raise BootFailure(
-                str(exc),
-                boot_id=boot_id,
-                stage=exc.boot_stage,
-                kind=exc.fault_kind,
-                attempt=attempt,
-                index=boot_index,
-                seed=seed,
+            raise BootFailure.from_exception(
+                exc, boot_id=boot_id, attempt=attempt,
+                index=boot_index, seed=seed,
             ) from exc
+        finally:
+            # stage spans and fired faults only: a restore is not a boot,
+            # so the boot counters stay untouched on either outcome
+            telemetry.publish_boot(boot_id, clock.timeline, faults=ctx.faults)
         with snapshot._lock:
             snapshot._restores += 1
         telemetry.registry.counter(

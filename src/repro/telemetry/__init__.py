@@ -10,9 +10,11 @@ One :class:`Telemetry` object bundles the two stores —
 * a :class:`~repro.telemetry.events.BootEventLog` of structured,
   monotonically sequenced per-stage records —
 
-and implements the :class:`~repro.telemetry.events.TelemetrySink`
-protocol the boot pipeline and fleet manager feed.  Exporters
-(:mod:`repro.telemetry.export`) read both through one frozen
+and derives both from what the instrumented layers hand it: a finished
+or aborted boot's timeline (:meth:`Telemetry.publish_boot`, the one
+place boot and stage metrics are registered), a fleet admission window,
+or a serve lifecycle event.  Exporters (:mod:`repro.telemetry.export`)
+read both through one frozen
 :class:`~repro.telemetry.export.TelemetrySnapshot`.
 
 Scoping: a process-wide default instance backs every instrumented layer
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.telemetry.alerts import AlertManager, AlertRule, BurnRateRule
 from repro.telemetry.events import (
@@ -36,7 +38,6 @@ from repro.telemetry.events import (
     KIND_STAGE,
     BootEvent,
     BootEventLog,
-    TelemetrySink,
 )
 from repro.telemetry.export import (
     TelemetrySnapshot,
@@ -80,15 +81,16 @@ from repro.telemetry.tracing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.simtime.trace import StageSpan
+    from repro.faults.plan import FaultSpec
+    from repro.simtime.trace import StageSpan, Timeline
 
 
 class Telemetry:
-    """Registry + event log behind one :class:`TelemetrySink` facade.
+    """Registry + event log behind one facade.
 
-    The sink methods translate pipeline/fleet callbacks into both
-    stores: a structured event in the log, and the corresponding
-    counters/histograms in the registry (metric names follow the
+    Its methods translate boot, fleet and serve facts into both stores: a
+    structured event in the log, and the corresponding counters and
+    histograms in the registry (metric names follow the
     ``repro_<subsystem>_<name>_<unit>`` convention).
     """
 
@@ -101,7 +103,7 @@ class Telemetry:
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.log = log if log is not None else BootEventLog()
-        #: optional flight recorder; sink methods feed it when installed
+        #: optional flight recorder; the methods below feed it when installed
         self.timeseries = timeseries
         #: shared null-safe recorder facade (fleet timeseries forwarding
         #: and the serve engine write through the same helper)
@@ -126,10 +128,72 @@ class Telemetry:
             tracer=self.tracer,
         )
 
-    # -- TelemetrySink ---------------------------------------------------------
+    # -- boots -----------------------------------------------------------------
 
-    def stage_span(self, boot_id: str, span: "StageSpan") -> None:
-        """Record one completed pipeline stage (event + stage metrics)."""
+    def publish_boot(
+        self,
+        boot_id: str,
+        timeline: "Timeline",
+        *,
+        vmm: str | None = None,
+        failure: tuple[str, str] | None = None,
+        faults: "Sequence[FaultSpec]" = (),
+        attempt: int = 0,
+        trace: TraceContext | None = None,
+    ) -> None:
+        """Derive every view of one finished or aborted boot from its timeline.
+
+        Each completed :class:`StageSpan` becomes a stage event, the
+        ``repro_pipeline_stage_*`` metrics and, with ``trace``, a
+        ``stage`` span there; each fired fault spec ticks
+        ``repro_fault_injections_total``.  A ``failure`` ``(stage, kind)``
+        ticks ``repro_boot_failures_total``; otherwise ``vmm``, the monitor
+        of a completed boot, ticks ``repro_monitor_boots_total`` and
+        ``repro_boot_duration_ms``.  Snapshot restores pass neither.
+        """
+        for span in timeline.spans:
+            self._stage_span(boot_id, span)
+            if trace is not None:
+                trace.span(
+                    span.name,
+                    "stage",
+                    span.start_ns,
+                    span.end_ns,
+                    attrs={
+                        "category": span.category,
+                        "principal": span.principal,
+                        "attempt": attempt,
+                    },
+                )
+        for spec in faults:
+            self.registry.counter(
+                "repro_fault_injections_total",
+                help="Faults fired by the installed fault plan",
+                stage=spec.stage,
+                kind=spec.kind,
+            ).inc()
+        if failure is not None:
+            stage, kind = failure
+            self.registry.counter(
+                "repro_boot_failures_total",
+                help="Boots aborted by a stage failure",
+                stage=stage,
+                kind=kind,
+            ).inc()
+        elif vmm is not None:
+            self.registry.counter(
+                "repro_monitor_boots_total",
+                help="Boots completed by a monitor",
+                vmm=vmm,
+            ).inc()
+            self.registry.histogram(
+                "repro_boot_duration_ms",
+                help="End-to-end simulated boot duration",
+                scale=NS_PER_MS,
+            ).observe(timeline.total_ns)
+
+    def _stage_span(self, boot_id: str, span: "StageSpan") -> None:
+        """One completed pipeline stage: its event and stage metrics."""
         self.log.record(
             boot_id=boot_id,
             kind=KIND_STAGE,
@@ -293,7 +357,6 @@ __all__ = [
     "StageLatency",
     "TailAttribution",
     "Telemetry",
-    "TelemetrySink",
     "TelemetrySnapshot",
     "TimeSeriesRecorder",
     "TraceContext",

@@ -139,7 +139,7 @@ class TimeSeriesRecorder:
             raise ValueError(f"frame capacity must be >= 1: {capacity}")
         self.window_ns = window_ns
         self.capacity = capacity
-        #: when True, ``Telemetry.stage_span`` feeds per-stage series
+        #: when True, ``Telemetry.publish_boot`` feeds per-stage series
         #: (boot-local times; off by default because fleet/serve series
         #: are wall-time and the two must not share one axis)
         self.include_stage_spans = include_stage_spans

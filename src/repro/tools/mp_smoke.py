@@ -6,6 +6,9 @@ and validates the process backend's load-bearing contracts end to end:
 * thread and process backends produce byte-identical fleet reports for
   the same seed (engine keys aside) — the backend is an implementation
   detail, never a behaviour change;
+* under a seeded fault plan that fails some boots, both backends export
+  byte-identical Prometheus text: failed boots' stages, fault counters
+  and failure counters are published the same way on either side;
 * two identical seeded process runs are byte-identical (replayed
   observability is deterministic across the process boundary);
 * the persistent cache tier works across CLI invocations: a cold fleet
@@ -29,9 +32,16 @@ import tempfile
 from repro.cli import main as cli_main
 
 #: every fleet run shares these: small scale, jitter-free, fixed seed
-_BASE = [
+_FLEET = [
     "fleet", "--kernel", "lupine", "--scale", "16", "--jitter", "0",
-    "--count", "4", "--seed", "11", "--json",
+    "--seed", "11",
+]
+_BASE = _FLEET + ["--count", "4", "--json"]
+#: a seeded plan that fails some boots, exported as Prometheus text
+_FAULTED = _FLEET + [
+    "--count", "8", "--retries", "0",
+    "--inject-fault", "stage=linux_boot,kind=reloc-fail,rate=0.4,seed=9",
+    "--trace-export", "prometheus",
 ]
 
 
@@ -75,6 +85,20 @@ def _check_backend_equivalence() -> None:
         _fail("process fleet produced colliding layouts")
 
 
+def _check_faulted_equivalence(tmp_dir: str) -> None:
+    texts = []
+    for executor in ("thread", "process"):
+        out = f"{tmp_dir}/{executor}.prom"
+        if _run(_FAULTED + ["--executor", executor, "--trace-out", out])[0]:
+            _fail(f"faulted {executor} fleet exited non-zero")
+        with open(out, encoding="utf-8") as fh:
+            texts.append(fh.read())
+    if "repro_fault_injections_total" not in texts[0]:
+        _fail("the faulted fleet fired no faults")
+    if texts[0] != texts[1]:
+        _fail("faulted thread and process runs export different metrics")
+
+
 def _check_process_determinism() -> None:
     once = _run(_BASE + ["--executor", "process"])[1]
     twice = _run(_BASE + ["--executor", "process"])[1]
@@ -107,6 +131,9 @@ def _check_cache_tier(tier_dir: str) -> None:
 def main() -> int:
     _check_backend_equivalence()
     print("mp-smoke: thread/process reports byte-identical (engine aside)")
+    with tempfile.TemporaryDirectory(prefix="repro-prom-") as tmp_dir:
+        _check_faulted_equivalence(tmp_dir)
+    print("mp-smoke: faulted thread/process Prometheus text byte-identical")
     _check_process_determinism()
     print("mp-smoke: process backend deterministic across reruns")
     with tempfile.TemporaryDirectory(prefix="repro-cache-") as tier_dir:

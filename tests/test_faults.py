@@ -19,8 +19,10 @@ from repro.errors import (
 from repro.faults import FATAL_KINDS, FAULT_KINDS, FaultPlan, FaultSpec
 from repro.host import HostStorage
 from repro.monitor import Firecracker, VmConfig
+from repro.pipeline import PIPELINE_FLAVORS
 from repro.simtime import CostModel
-from repro.telemetry import Telemetry
+from repro.snapshot.checkpoint import SnapshotManager
+from repro.telemetry import KIND_STAGE, Telemetry
 from repro.telemetry.profiler import CostProfiler
 
 
@@ -144,11 +146,16 @@ def test_boot_failure_to_json_is_complete(tiny_kaslr):
 
 
 def test_injection_ticks_failure_counters(tiny_kaslr):
+    """An aborted standalone boot still publishes what it completed."""
     telemetry = Telemetry()
     plan = FaultPlan.parse(["stage=linux_boot,kind=entropy-exhausted"])
     vmm = _vmm(plan, telemetry=telemetry)
     with pytest.raises(BootFailure):
         vmm.boot(_cfg(tiny_kaslr))
+    # one stage event per stage that completed before linux_boot aborted
+    assert [
+        e.name for e in telemetry.log.events() if e.kind == KIND_STAGE
+    ] == list(PIPELINE_FLAVORS["direct"][:-1])
     registry = telemetry.registry
     assert registry.counter(
         "repro_fault_injections_total",
@@ -158,6 +165,40 @@ def test_injection_ticks_failure_counters(tiny_kaslr):
         "repro_boot_failures_total",
         stage="linux_boot", kind="entropy-exhausted",
     ).value == 1
+
+
+def test_aborted_restore_publishes_stages_and_fault_only(tiny_kaslr):
+    """A restore is not a boot: spans and faults, never boot counters."""
+    telemetry = Telemetry()
+    vmm = Firecracker(HostStorage(), CostModel(scale=1), telemetry=telemetry)
+    _report, vm = vmm.boot_vm(_cfg(tiny_kaslr))
+    manager = SnapshotManager(
+        CostModel(scale=1),
+        telemetry=telemetry,
+        fault_plan=FaultPlan.parse(["stage=rebase,kind=stage-timeout"]),
+    )
+    with pytest.raises(BootFailure):
+        manager.restore_rebased(manager.capture(vm), seed=3)
+    assert [
+        e.name for e in telemetry.log.events() if e.boot_id.startswith("restore:")
+    ] == ["snapshot_restore"]
+    counts = {
+        (m.name, p.labels): p.value
+        for m in telemetry.snapshot().metrics
+        for p in m.points
+        if m.name in (
+            "repro_fault_injections_total",
+            "repro_boot_failures_total",
+            "repro_monitor_boots_total",
+        )
+    }
+    assert counts == {
+        (
+            "repro_fault_injections_total",
+            (("kind", "stage-timeout"), ("stage", "rebase")),
+        ): 1,
+        ("repro_monitor_boots_total", (("vmm", "firecracker"),)): 1,
+    }
 
 
 def test_aborted_stage_appears_in_profile(tiny_kaslr):

@@ -40,8 +40,12 @@ from repro.monitor import (
 )
 from repro.simtime import CostModel
 from repro.snapshot.zygote import ZygotePolicy, ZygotePool
-from repro.telemetry import Telemetry
+from repro.telemetry import KIND_STAGE, RequestTracer, Telemetry
 from repro.telemetry.profiler import CostProfiler
+
+
+#: a seeded plan that fails some of a 10-VM fleet's boots
+_FAULT = "stage=linux_boot,kind=reloc-fail,rate=0.4,seed=9"
 
 
 def _vmm(fault_spec: str | None = None, profiled: bool = False) -> Firecracker:
@@ -61,9 +65,9 @@ def _cfg(kernel) -> VmConfig:
 
 
 def _launch(kernel, executor: str, *, fault_spec=None, profiled=False,
-            count=6, warm=True, retries=1):
+            count=6, warm=True, retries=1, tracer=None):
     vmm = _vmm(fault_spec, profiled=profiled)
-    manager = FleetManager(vmm, workers=2, executor=executor)
+    manager = FleetManager(vmm, workers=2, executor=executor, tracer=tracer)
     report = manager.launch(
         _cfg(kernel), count, fleet_seed=7, warm=warm, retries=retries
     )
@@ -120,38 +124,62 @@ def test_process_backend_conserves_profiler_attribution(tiny_fgkaslr):
     assert thread.to_json()["boots"] == process.to_json()["boots"]
 
 
-def test_process_backend_replays_telemetry(tiny_fgkaslr):
-    """Counters and stage events land in the parent registry, replayed."""
-    thread, t_vmm = _launch(tiny_fgkaslr, "thread", count=4)
-    process, p_vmm = _launch(tiny_fgkaslr, "process", count=4)
-    names = (
-        "repro_monitor_boots_total",
-        "repro_cache_hits_total",
-        "repro_fleet_boots_total",
-        "repro_boot_duration_ms",
+@pytest.mark.parametrize(
+    "fault_spec, retries",
+    [(None, 1), (_FAULT, 0), (_FAULT, 1)],
+    ids=["clean", "faulted-no-retry", "faulted-retry"],
+)
+def test_process_backend_replays_telemetry(tiny_fgkaslr, fault_spec, retries):
+    """Every metric, stage event and boot trace matches across backends.
+
+    Failed boots included: their completed stages, fired faults and
+    failure counters must reach the parent exactly as on the thread path.
+    """
+    t_tracer, p_tracer = RequestTracer(seed=5), RequestTracer(seed=5)
+    thread, t_vmm = _launch(
+        tiny_fgkaslr, "thread", fault_spec=fault_spec, count=10,
+        retries=retries, tracer=t_tracer,
     )
-    t_snap = {
-        m.name: m.points
-        for m in t_vmm.telemetry.snapshot().metrics
-        if m.name in names
-    }
-    p_snap = {
-        m.name: m.points
-        for m in p_vmm.telemetry.snapshot().metrics
-        if m.name in names
-    }
-    assert set(t_snap) == set(names)
-    assert t_snap == p_snap
+    _, p_vmm = _launch(
+        tiny_fgkaslr, "process", fault_spec=fault_spec, count=10,
+        retries=retries, tracer=p_tracer,
+    )
+    if fault_spec is not None:
+        assert thread.failures or thread.retries  # the rate actually fired
+    t_tel, p_tel = t_vmm.telemetry, p_vmm.telemetry
+
+    def families(telemetry):
+        return {
+            m.name: m.points
+            for m in telemetry.snapshot().metrics
+            if m.name.startswith("repro_")
+        }
+
+    def stage_events(telemetry):
+        return sorted(
+            (e.boot_id, e.name, e.start_ns, e.duration_ns)
+            for e in telemetry.log.events()
+            if e.kind == KIND_STAGE
+        )
+
+    t_families = families(t_tel)
+    assert "repro_pipeline_stage_runs_total" in t_families
+    if fault_spec is not None:
+        assert "repro_fault_injections_total" in t_families
+    assert t_families == families(p_tel)
+    assert len(stage_events(t_tel)) == len(stage_events(p_tel))
+    assert stage_events(t_tel) == stage_events(p_tel)
+    assert t_tracer.to_json_dict() == p_tracer.to_json_dict()
+    assert t_tracer.span_count == len(stage_events(t_tel))
 
 
 def test_process_backend_fault_decisions_identical(tiny_fgkaslr):
     """Seeded fault plans fire identically across the process boundary."""
-    spec = "stage=linux_boot,kind=reloc-fail,rate=0.4,seed=9"
     thread, _ = _launch(
-        tiny_fgkaslr, "thread", fault_spec=spec, count=10, retries=0
+        tiny_fgkaslr, "thread", fault_spec=_FAULT, count=10, retries=0
     )
     process, _ = _launch(
-        tiny_fgkaslr, "process", fault_spec=spec, count=10, retries=0
+        tiny_fgkaslr, "process", fault_spec=_FAULT, count=10, retries=0
     )
     assert thread.failures  # the rate actually fired
     assert [f.to_json() for f in thread.failures] == [
