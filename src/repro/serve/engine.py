@@ -171,6 +171,8 @@ class ServeEngine:
         self.config = config
         self.telemetry = telemetry
         self.labels = dict(labels or {})
+        #: registry instruments by (name, extra labels); see ``_handle``
+        self._handles: dict[tuple, object] = {}
         #: optional flight recorder fed per event (arrivals, serves, depth)
         self.recorder = recorder
         #: null-safe recorder facade (shared shape with the fleet's
@@ -197,9 +199,22 @@ class ServeEngine:
     def _count(self, name: str, help_text: str, amount: int = 1, **extra: str) -> None:
         if self.telemetry is None or amount == 0:
             return
-        self.telemetry.registry.counter(
-            name, help=help_text, **self.labels, **extra
-        ).inc(amount)
+        self._handle("counter", name, help_text, **extra).inc(amount)
+
+    def _handle(self, kind: str, name: str, help_text: str, **extra: str):
+        """The registry's ``kind`` instrument for (name, extra labels).
+
+        Memoized per engine; the first use creates it exactly as an
+        unmemoized lookup would, so families export at the same point.
+        """
+        key = (name, *extra.items())
+        handle = self._handles.get(key)
+        if handle is None:
+            factory = getattr(self.telemetry.registry, kind)
+            handle = self._handles[key] = factory(
+                name, help=help_text, **self.labels, **extra
+            )
+        return handle
 
     def _span(
         self,
@@ -789,10 +804,10 @@ class ServeEngine:
     def _observe_latency(self, latency_ns: int) -> None:
         if self.telemetry is None:
             return
-        self.telemetry.registry.histogram(
+        self._handle(
+            "histogram",
             "repro_serve_latency_ns",
-            help="End-to-end request latency (arrival to completion)",
-            **self.labels,
+            "End-to-end request latency (arrival to completion)",
         ).observe(latency_ns)
 
     def _export_gauges(self, max_queue_depth: int) -> None:

@@ -19,6 +19,18 @@ event log as a :data:`~repro.telemetry.events.KIND_ALERT` event, and
 counted in ``repro_alerts_total{rule,state}``.  A rule whose series is
 absent from a window is treated as healthy (series silence is a
 recovery signal, not an error — the window may legitimately be empty).
+
+Empty windows arrive as runs: :meth:`AlertManager.attach` registers a
+run form with the recorder, so a gap of ``n`` empty windows costs at
+most ``L`` evaluations rather than ``n``.  It is exact, not a shortcut.
+An empty window is not always healthy on its own: a burn-rate rule with
+``short_windows >= 2`` still averages the earlier non-empty windows in
+its short tail.  So the run form replays the first ``L`` empty windows
+of the run through :meth:`AlertManager.on_window`, where ``L`` is the
+largest ``long_windows`` of the burn-rate rules (at least 1).  After
+those, every rule is ``ok`` with a zero streak and every burn history
+holds only ``(0, 0)``, so the remaining empty windows would change
+nothing and are skipped.
 """
 
 from __future__ import annotations
@@ -118,6 +130,17 @@ class BurnRateRule:
         }
 
 
+def _burn(tail, budget: float) -> float | None:
+    """Bad fraction of the (bad, total) pairs in ``tail`` over ``budget``."""
+    bad_sum = total_sum = 0
+    for bad, total in tail:
+        bad_sum += bad
+        total_sum += total
+    if total_sum == 0:
+        return None
+    return (bad_sum / total_sum) / budget
+
+
 class _RuleState:
     __slots__ = ("state", "streak", "history")
 
@@ -154,12 +177,28 @@ class AlertManager:
             )
             for rule in self.rules
         }
+        #: empty windows after which every rule has settled (see the
+        #: module docstring): the longest burn-rate history, at least 1
+        self._settle_windows = max(
+            (r.long_windows for r in self.rules if isinstance(r, BurnRateRule)),
+            default=1,
+        )
         #: every state change, in evaluation order (window, then rule)
         self.transitions: list[dict] = []
 
     def attach(self, recorder: TimeSeriesRecorder) -> "AlertManager":
         """Subscribe to a recorder's window-close hook; returns self."""
-        recorder.on_window(self.on_window)
+        # the run form holds the window width, not the recorder: a
+        # recorder -> listener -> recorder cycle would keep every finished
+        # run's recorder and telemetry alive until a full collection
+        window_ns = recorder.window_ns
+
+        def on_empty_run(first_index: int, count: int) -> None:
+            replay = min(count, self._settle_windows)
+            for index in range(first_index, first_index + replay):
+                self.on_window(WindowFrame.empty_window(index, window_ns))
+
+        recorder.on_window(self.on_window, on_empty_run=on_empty_run)
         return self
 
     def state(self, rule_name: str) -> str:
@@ -184,18 +223,10 @@ class AlertManager:
         total = int(frame.value(rule.total_series, "delta") or 0)
         history = self._states[rule.name].history
         history.append((bad, total))
-
-        def burn(n: int) -> float | None:
-            tail = list(history)[-n:]
-            bad_sum = sum(b for b, _ in tail)
-            total_sum = sum(t for _, t in tail)
-            if total_sum == 0:
-                return None
-            return (bad_sum / total_sum) / rule.budget
-
         # both windows must burn: long for significance, short for recency
-        long_burn = burn(rule.long_windows)
-        short_burn = burn(rule.short_windows)
+        # (the history holds exactly the long window)
+        long_burn = _burn(history, rule.budget)
+        short_burn = _burn(list(history)[-rule.short_windows:], rule.budget)
         if long_burn is None or short_burn is None:
             return False, long_burn
         breached = long_burn >= rule.factor and short_burn >= rule.factor

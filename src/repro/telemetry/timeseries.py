@@ -17,15 +17,27 @@ recorder works for all three clock shapes in the tree — a boot's private
 serve engine's event-loop ``now``.  ``advance(t_ns)`` closes every
 window strictly before ``t``; ``close(horizon_ns)`` closes through the
 horizon at end of run.  Closed windows **tile**: indices are contiguous
-from window 0, and gap windows are materialized as empty frames, so
-``frame[i].end_ns == frame[i+1].start_ns`` always (the hypothesis
-property test pins this).
+from window 0 and ``frame[i].end_ns == frame[i+1].start_ns`` always
+(the hypothesis property test pins this).
 
-Bounded memory: at most ``capacity`` closed frames are retained ring-
-buffer style.  Eviction is *accounted*, never silent: ``dropped_windows``
-counts evicted frames and their counter deltas accumulate into the
-``evicted`` totals, preserving the conservation law the property test
-pins — ``sum(retained deltas) + evicted == cumulative total`` per series.
+Cost follows the samples, not simulated time: only windows that hold
+samples are frozen into frames.  A run of empty windows between them is
+closed arithmetically (the closed-window count jumps by the run length),
+and its empty frames are built only when read — by :meth:`windows`,
+:meth:`to_json_dict`, or a listener that takes one frame per window.
+Closing ``n`` windows therefore costs O(samples + non-empty frames),
+whatever ``n`` is.  Listeners may register a run form
+(``on_window(listener, on_empty_run=...)``) that receives each empty run
+as ``(first_index, count)``; a listener without one still gets an empty
+frame per window.
+
+Bounded memory: only the last ``capacity`` closed windows are retained,
+and of those only the non-empty frames are stored.  Eviction is
+*accounted*, never silent: ``dropped_windows`` counts the windows before
+the retained range and the counter deltas of evicted frames accumulate
+into the ``evicted`` totals (empty windows carry no deltas), preserving
+the conservation law the property test pins — ``sum(retained deltas) +
+evicted == cumulative total`` per series.
 
 Determinism: JSON export (:meth:`TimeSeriesRecorder.to_json_dict`) is a
 pure function of the sample stream — sorted series names, fixed float
@@ -34,7 +46,9 @@ rounding — so seeded runs serialize byte-identically.
 
 from __future__ import annotations
 
+import heapq
 import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -79,6 +93,18 @@ class WindowFrame:
     gauges: dict
     #: name -> {"count": int, "sum": float, "p50": float, "p99": float}
     distributions: dict
+
+    @classmethod
+    def empty_window(cls, index: int, window_ns: int) -> "WindowFrame":
+        """Window ``index`` of a ``window_ns`` grid, closed with no samples."""
+        return cls(
+            index=index,
+            start_ns=index * window_ns,
+            end_ns=(index + 1) * window_ns,
+            counters={},
+            gauges={},
+            distributions={},
+        )
 
     @property
     def duration_ns(self) -> int:
@@ -145,15 +171,19 @@ class TimeSeriesRecorder:
         self.include_stage_spans = include_stage_spans
         self._lock = threading.Lock()
         self._open: dict[int, _Accum] = {}
-        self._frames: list[WindowFrame] = []
-        #: lowest window index not yet closed (windows close in order)
+        #: min-heap of the open windows' indices (closing order)
+        self._open_order: list[int] = []
+        #: the non-empty frames of the retained range, oldest first
+        self._frames: deque[WindowFrame] = deque()
+        #: lowest window index not yet closed (windows close in order), so
+        #: also the number of windows closed so far
         self._next_index = 0
-        self._closed = 0
-        self._dropped = 0
         self._late = 0
         self._totals: dict[str, int] = {}
         self._evicted: dict[str, int] = {}
-        self._listeners: list[Callable[[WindowFrame], None]] = []
+        self._listeners: list[
+            tuple[Callable[[WindowFrame], None], Callable[[int, int], None] | None]
+        ] = []
 
     # -- sampling --------------------------------------------------------------
 
@@ -168,6 +198,7 @@ class TimeSeriesRecorder:
         accum = self._open.get(index)
         if accum is None:
             accum = self._open[index] = _Accum()
+            heapq.heappush(self._open_order, index)
         return accum
 
     def count(self, t_ns: int, name: str, amount: int = 1) -> None:
@@ -211,9 +242,20 @@ class TimeSeriesRecorder:
 
     # -- window lifecycle ------------------------------------------------------
 
-    def on_window(self, listener: Callable[[WindowFrame], None]) -> None:
-        """Register a close-time hook (alert evaluation rides on this)."""
-        self._listeners.append(listener)
+    def on_window(
+        self,
+        listener: Callable[[WindowFrame], None],
+        on_empty_run: Callable[[int, int], None] | None = None,
+    ) -> None:
+        """Register a close-time hook (alert evaluation rides on this).
+
+        ``listener`` gets every closed window's frame in index order.
+        With ``on_empty_run``, each run of consecutive empty windows is
+        delivered as one ``on_empty_run(first_index, count)`` call
+        instead of ``count`` empty frames, so the listener can settle it
+        in O(1); without it, empty frames are built one per window.
+        """
+        self._listeners.append((listener, on_empty_run))
 
     def advance(self, t_ns: int) -> None:
         """Close every window strictly before ``t`` (event-loop hook)."""
@@ -232,27 +274,44 @@ class TimeSeriesRecorder:
         self._close_through(target)
 
     def _close_through(self, last_index: int) -> None:
-        closing: list[WindowFrame] = []
         with self._lock:
-            while self._next_index <= last_index:
-                index = self._next_index
-                self._next_index += 1
-                accum = self._open.pop(index, None) or _Accum()
-                closing.append(self._freeze(index, accum))
-            for frame in closing:
-                self._frames.append(frame)
-                self._closed += 1
-                if len(self._frames) > self.capacity:
-                    evicted = self._frames.pop(0)
-                    self._dropped += 1
-                    for name, entry in evicted.counters.items():
-                        self._evicted[name] = (
-                            self._evicted.get(name, 0) + entry["delta"]
-                        )
-        # listeners run outside the lock, in window-index order
+            first = self._next_index
+            if last_index < first:
+                return
+            self._next_index = last_index + 1
+            closing: list[WindowFrame] = []
+            order = self._open_order
+            while order and order[0] <= last_index:
+                index = heapq.heappop(order)
+                closing.append(self._freeze(index, self._open.pop(index)))
+            self._frames.extend(closing)
+            floor = self._next_index - self.capacity
+            while self._frames and self._frames[0].index < floor:
+                for name, entry in self._frames.popleft().counters.items():
+                    self._evicted[name] = self._evicted.get(name, 0) + entry["delta"]
+            listeners = list(self._listeners)
+        if not listeners:
+            return
+        # listeners run outside the lock, in window-index order; each
+        # run of empty windows between frames goes to every listener
+        # before the next frame does
+        cursor = first
         for frame in closing:
-            for listener in self._listeners:
+            if frame.index > cursor:
+                self._deliver_empty(listeners, cursor, frame.index - cursor)
+            for listener, _ in listeners:
                 listener(frame)
+            cursor = frame.index + 1
+        if cursor <= last_index:
+            self._deliver_empty(listeners, cursor, last_index + 1 - cursor)
+
+    def _deliver_empty(self, listeners, first_index: int, count: int) -> None:
+        for listener, on_empty_run in listeners:
+            if on_empty_run is not None:
+                on_empty_run(first_index, count)
+            else:
+                for index in range(first_index, first_index + count):
+                    listener(WindowFrame.empty_window(index, self.window_ns))
 
     def _freeze(self, index: int, accum: _Accum) -> WindowFrame:
         seconds = self.window_ns / 1e9
@@ -271,14 +330,12 @@ class TimeSeriesRecorder:
                 entry[f"p{q:g}"] = round(percentile(values, q), 4)
             samples = accum.exemplars.get(name)
             if samples:
-                # largest value first; insertion order breaks ties so the
-                # pick is deterministic for seeded runs
-                ranked = sorted(
-                    enumerate(samples), key=lambda iv: (-iv[1][0], iv[0])
-                )[:EXEMPLAR_K]
+                # largest value first; the sort is stable, so insertion
+                # order breaks ties and the pick is deterministic
+                ranked = sorted(samples, key=lambda sample: -sample[0])[:EXEMPLAR_K]
                 entry["exemplars"] = [
                     {"trace_id": trace_id, "value": round(value, 4)}
-                    for _, (value, trace_id) in ranked
+                    for value, trace_id in ranked
                 ]
             dists[name] = entry
         return WindowFrame(
@@ -292,20 +349,32 @@ class TimeSeriesRecorder:
 
     # -- views -----------------------------------------------------------------
 
+    def _retained(self) -> list[WindowFrame]:
+        """The retained range's frames, empty ones built here (lock held)."""
+        frames: list[WindowFrame] = []
+        cursor = max(0, self._next_index - self.capacity)
+        empty, width = WindowFrame.empty_window, self.window_ns
+        for frame in self._frames:
+            frames.extend(empty(i, width) for i in range(cursor, frame.index))
+            frames.append(frame)
+            cursor = frame.index + 1
+        frames.extend(empty(i, width) for i in range(cursor, self._next_index))
+        return frames
+
     def windows(self) -> tuple[WindowFrame, ...]:
         """Retained closed frames, oldest first (post-eviction view)."""
         with self._lock:
-            return tuple(self._frames)
+            return tuple(self._retained())
 
     @property
     def windows_closed(self) -> int:
         with self._lock:
-            return self._closed
+            return self._next_index
 
     @property
     def dropped_windows(self) -> int:
         with self._lock:
-            return self._dropped
+            return max(0, self._next_index - self.capacity)
 
     def totals(self) -> dict[str, int]:
         """Cumulative counter totals over the recorder's whole lifetime."""
@@ -323,8 +392,8 @@ class TimeSeriesRecorder:
             return {
                 "schema_version": SCHEMA_VERSION,
                 "window_ms": round(self.window_ns / _NS_PER_MS, 6),
-                "windows_closed": self._closed,
-                "dropped_windows": self._dropped,
+                "windows_closed": self._next_index,
+                "dropped_windows": max(0, self._next_index - self.capacity),
                 "late_samples": self._late,
                 "totals": {
                     name: self._totals[name] for name in sorted(self._totals)
@@ -332,7 +401,7 @@ class TimeSeriesRecorder:
                 "evicted": {
                     name: self._evicted[name] for name in sorted(self._evicted)
                 },
-                "windows": [frame.to_json() for frame in self._frames],
+                "windows": [frame.to_json() for frame in self._retained()],
             }
 
 

@@ -5,7 +5,7 @@ The contracts that downstream alerting and exporters lean on:
 * counters report per-window deltas and rates; gauges report last + max;
   distributions report per-window count/sum/p50/p99;
 * closed frames tile simulated time: contiguous indices from window 0,
-  gaps materialized as empty frames;
+  gaps read back as empty frames, closed in O(1) whatever their length;
 * eviction past the ring capacity is accounted (``dropped_windows`` +
   ``evicted`` totals), never silent;
 * late samples clamp into the oldest open window instead of vanishing;
@@ -15,10 +15,12 @@ The contracts that downstream alerting and exporters lean on:
 from __future__ import annotations
 
 import json
+import time
+import tracemalloc
 
 import pytest
 
-from repro.telemetry import TimeSeriesRecorder
+from repro.telemetry import AlertManager, BurnRateRule, TimeSeriesRecorder
 
 MS = 1_000_000  # ns
 
@@ -150,3 +152,59 @@ def test_json_export_is_byte_stable():
     assert doc["schema_version"] == 1
     assert doc["window_ms"] == 10.0
     assert list(doc["windows"][0]["counters"]) == ["a", "b"]  # sorted
+
+
+def test_plain_listener_gets_every_window_of_a_gap_in_order():
+    rec = TimeSeriesRecorder(window_ns=10 * MS)
+    seen: list[tuple[int, bool]] = []
+    rec.on_window(lambda frame: seen.append((frame.index, frame.empty)))
+    rec.count(5 * MS, "req")
+    rec.count(65 * MS, "req")
+    rec.close(65 * MS)
+    assert seen == [(0, False)] + [(i, True) for i in range(1, 6)] + [(6, False)]
+
+
+def test_run_form_gets_each_empty_run_once():
+    rec = TimeSeriesRecorder(window_ns=10 * MS)
+    seen: list = []
+    rec.on_window(
+        lambda frame: seen.append(frame.index),
+        on_empty_run=lambda first, count: seen.append((first, count)),
+    )
+    rec.count(5 * MS, "req")
+    rec.count(65 * MS, "req")
+    rec.advance(30 * MS)
+    rec.close(95 * MS)
+    assert seen == [0, (1, 2), (3, 3), 6, (7, 3)]
+
+
+def test_long_gap_closes_in_constant_time():
+    started = time.perf_counter()
+    rec = TimeSeriesRecorder(window_ns=1, capacity=4)
+    rec.count(0, "req", 2)
+    rec.count(10**7, "req")
+    rec.close(10**7)
+    retained = [frame.index for frame in rec.windows()]
+    assert time.perf_counter() - started < 1.0
+    assert rec.windows_closed == 10**7 + 1
+    assert rec.dropped_windows == 10**7 - 3
+    assert retained == list(range(10**7 - 3, 10**7 + 1))
+    assert rec.evicted_totals() == {"req": 2}
+    assert rec.windows()[-1].counters["req"]["delta"] == 1
+
+
+def _peak_bytes_closing_gap(gap: int) -> int:
+    rec = TimeSeriesRecorder(window_ns=1, capacity=4)
+    AlertManager([BurnRateRule("burn", "bad", "total", budget=0.1)]).attach(rec)
+    rec.count(0, "total")
+    rec.count(gap, "total")
+    tracemalloc.start()
+    try:
+        rec.close(gap)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gap_memory_does_not_grow_with_its_length():
+    assert _peak_bytes_closing_gap(10**7) <= _peak_bytes_closing_gap(10**3) + 16 * 1024
