@@ -15,8 +15,11 @@ number:
   latency.
 
 The gate tracks the distinct fraction and entropy bits per strategy.
-The bench also measures the auditor's wall-clock tax on a fleet launch
-and requires it stay under 5% — an always-on auditor must be free.
+The bench also measures the auditor's tax on a fleet launch — the CPU
+time spent inside its ``record``/``touch`` calls over the audited
+fleet's wall time — and requires it stay under 5%: an always-on auditor
+must be free.  Timing the auditor itself, rather than differencing two
+fleet wall times, keeps the figure steady on a busy host.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from repro.workloads import InstanceStrategy, ServerlessPlatform
 
 N_INSTANCES = 24
 OVERHEAD_BOOTS = 48
-OVERHEAD_REPEATS = 3
 SEED = 11
 
 
@@ -59,17 +61,41 @@ def _audit_strategy(strategy: InstanceStrategy) -> dict:
     return auditor.to_json_dict()["strategies"][strategy.value]
 
 
-def _fleet_seconds(auditor: KaslrAuditor | None) -> float:
-    """Best-of-N wall seconds for one audited/unaudited fleet launch."""
-    best = float("inf")
-    for _ in range(OVERHEAD_REPEATS):
-        vmm = Firecracker(HostStorage(), CostModel(scale=SCALE))
-        manager = FleetManager(vmm, workers=4, auditor=auditor)
-        cfg = direct_cfg(AWS, RandomizeMode.KASLR)
-        t0 = time.perf_counter()
-        manager.launch(cfg, OVERHEAD_BOOTS, fleet_seed=SEED)
-        best = min(best, time.perf_counter() - t0)
-    return best
+class _TimedAuditor(KaslrAuditor):
+    """A :class:`KaslrAuditor` that accumulates its own feed CPU time.
+
+    The fleet feeds the auditor from the launching thread only, so a
+    plain float accumulator is enough.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.seconds = 0.0
+
+    def record(self, *args, **kwargs):
+        t0 = time.thread_time()
+        try:
+            return super().record(*args, **kwargs)
+        finally:
+            self.seconds += time.thread_time() - t0
+
+    def touch(self, *args, **kwargs):
+        t0 = time.thread_time()
+        try:
+            return super().touch(*args, **kwargs)
+        finally:
+            self.seconds += time.thread_time() - t0
+
+
+def _audit_overhead() -> float:
+    """The auditor's CPU seconds over an audited fleet launch's wall seconds."""
+    auditor = _TimedAuditor()
+    vmm = Firecracker(HostStorage(), CostModel(scale=SCALE))
+    manager = FleetManager(vmm, workers=4, auditor=auditor)
+    cfg = direct_cfg(AWS, RandomizeMode.KASLR)
+    t0 = time.perf_counter()
+    manager.launch(cfg, OVERHEAD_BOOTS, fleet_seed=SEED)
+    return auditor.seconds / (time.perf_counter() - t0)
 
 
 def _run() -> tuple[dict[str, dict], float]:
@@ -77,10 +103,7 @@ def _run() -> tuple[dict[str, dict], float]:
         strategy.value: _audit_strategy(strategy)
         for strategy in InstanceStrategy
     }
-    plain_s = _fleet_seconds(None)
-    audited_s = _fleet_seconds(KaslrAuditor())
-    overhead_frac = max(0.0, audited_s / plain_s - 1.0)
-    return audits, overhead_frac
+    return audits, _audit_overhead()
 
 
 def test_entropy_audit(benchmark, record):
@@ -100,7 +123,7 @@ def test_entropy_audit(benchmark, record):
             for name, doc in sorted(audits.items())
         ],
         title=f"live KASLR audit — {N_INSTANCES} instances per strategy, "
-        f"auditor overhead {overhead_frac * 100:.1f}% "
+        f"auditor overhead {overhead_frac * 100:.3f}% "
         f"on a {OVERHEAD_BOOTS}-boot fleet",
     )
     series = {}

@@ -131,13 +131,7 @@ def _emit_profile(args, profiler: CostProfiler | None) -> None:
     """Honor ``--profile {folded,json,table}`` and ``--profile-out``."""
     if profiler is None:
         return
-    content = profiler.render(args.profile)
-    out = getattr(args, "profile_out", "-")
-    if out == "-":
-        sys.stdout.write(content)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(content)
+    _write_text(getattr(args, "profile_out", "-"), profiler.render(args.profile))
 
 
 def _write_text(path: str, content: str) -> None:
@@ -178,7 +172,7 @@ def _render_export(telemetry: Telemetry, fmt: str) -> str:
         obj = to_chrome_trace(snapshot)
     else:
         obj = to_json_dump(snapshot)
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return _dump_json(obj)
 
 
 def _emit_telemetry(args, telemetry: Telemetry) -> None:
@@ -188,12 +182,7 @@ def _emit_telemetry(args, telemetry: Telemetry) -> None:
         sys.stdout.write(to_prometheus(telemetry.snapshot()))
     fmt = getattr(args, "trace_export", None)
     if fmt:
-        content = _render_export(telemetry, fmt)
-        if args.trace_out == "-":
-            sys.stdout.write(content)
-        else:
-            with open(args.trace_out, "w", encoding="utf-8") as fh:
-                fh.write(content)
+        _write_text(args.trace_out, _render_export(telemetry, fmt))
     events_out = getattr(args, "events_out", None)
     if events_out:
         if events_out == "-":
@@ -556,77 +545,75 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    """Play open-loop traffic against warm pools; print the SLO report."""
-    from repro.serve import (
-        ArrivalSpec,
-        AutoscalePolicy,
-        SampledBackend,
-        ServeConfig,
-        ServeEngine,
-        SloReport,
-        StrategySlo,
-    )
-    from repro.workloads import FUNCTIONS, InstanceStrategy, ServerlessPlatform
+def _serve_setup(args):
+    """Check ``--function`` and build the inputs every serve cell shares.
 
-    strategies = (
-        list(InstanceStrategy)
-        if args.strategy == "all"
-        else [InstanceStrategy(args.strategy)]
-    )
-    rates = args.rate or [40.0]
+    Returns ``(spec, config, strategies, rates)``, or None after naming
+    the known functions on stderr.  ``watch`` takes one strategy and one
+    ``--rate``; ``serve`` and ``trace`` accept ``all`` and a repeatable
+    ``--rate`` (default 40).
+    """
+    from repro.serve import AutoscalePolicy, ServeConfig
+    from repro.workloads import FUNCTIONS, InstanceStrategy
+
     if args.function not in FUNCTIONS:
         print(
             f"unknown function {args.function!r}; "
             f"known: {', '.join(sorted(FUNCTIONS))}",
             file=sys.stderr,
         )
-        return 2
-    spec = FUNCTIONS[args.function]
-    mode = RandomizeMode(args.mode)
-    policy = AutoscalePolicy(
-        min_ready=args.pool_min,
-        max_ready=args.pool_max,
-        scale_up_depth=args.scale_up_depth,
-        idle_ns=int(round(args.idle_ms * 1e6)),
-    )
+        return None
     config = ServeConfig(
-        policy=policy,
+        policy=AutoscalePolicy(
+            min_ready=args.pool_min,
+            max_ready=args.pool_max,
+            scale_up_depth=args.scale_up_depth,
+            idle_ns=int(round(args.idle_ms * 1e6)),
+        ),
         provisioners=args.provisioners,
         queue_cap=args.queue_cap,
         deadline_ns=int(round(args.deadline_ms * 1e6)),
     )
-    want_recorder = getattr(args, "timeseries_out", None) is not None
-    # the tracer rides along whenever a flight recorder runs (so firing
-    # alerts carry exemplar trace ids) or --trace-requests asked for the
-    # SLO tail section; plain runs stay tracer-free and byte-identical
-    tracer = (
-        RequestTracer(args.seed)
-        if want_recorder or args.trace_requests
-        else None
+    strategies = (
+        list(InstanceStrategy)
+        if args.strategy == "all"
+        else [InstanceStrategy(args.strategy)]
     )
-    telemetry = Telemetry(tracer=tracer)
-    flight = want_recorder or args.audit
-    auditor = KaslrAuditor(telemetry=telemetry) if args.audit else None
-    window_ns = int(round(args.window_ms * 1e6))
-    slo_ms = (
-        args.slo_p99_ms if args.slo_p99_ms is not None else args.deadline_ms
-    )
-    rows = []
-    cells = []
+    rates = [args.rate] if isinstance(args.rate, float) else args.rate or [40.0]
+    return FUNCTIONS[args.function], config, strategies, rates
+
+
+def _run_serve_cells(
+    args, telemetry: Telemetry, auditor=None, record: bool = False
+) -> list[tuple] | None:
+    """Run every (strategy, rate) serve cell of ``serve``/``watch``/``trace``.
+
+    ``telemetry.tracer`` (optional) traces every request.  With
+    ``record`` each cell gets its own flight recorder and alert manager.
+    Returns one ``(strategy, rate, cell, result, recorder, alerts)``
+    tuple per cell in run order (``recorder``/``alerts`` are None
+    without ``record``), or None when ``--function`` is unknown.
+    """
+    from repro.serve import ArrivalSpec, SampledBackend, ServeEngine
+    from repro.workloads import ServerlessPlatform
+
+    setup = _serve_setup(args)
+    if setup is None:
+        return None
+    spec, config, strategies, rates = setup
+    tracer = telemetry.tracer
+    mode = RandomizeMode(args.mode)
+    kernel = get_kernel(args.kernel, _MODE_VARIANT[mode], scale=args.scale)
+    runs = []
     for strategy in strategies:
         # a fresh monitor per strategy: independent cost-jitter streams,
         # so strategies stay comparable and byte-stable in any order.
         # Each strategy writes metrics through its own scope, so counters
         # never bleed between strategies sharing this process.
         scope = telemetry.scoped(strategy=strategy.value)
-        vmm = _make_vmm(args, telemetry=scope)
-        kernel = get_kernel(args.kernel, _MODE_VARIANT[mode], scale=args.scale)
         platform = ServerlessPlatform(
-            vmm,
-            lambda seed, k=kernel, m=mode: VmConfig(
-                kernel=k, randomize=m, seed=seed
-            ),
+            _make_vmm(args, telemetry=scope),
+            lambda seed: VmConfig(kernel=kernel, randomize=mode, seed=seed),
             strategy=strategy,
         )
         backend = SampledBackend.from_platform(
@@ -641,10 +628,12 @@ def _cmd_serve(args) -> int:
         for rate in rates:
             cell = f"{strategy.value}@{rate:g}"
             recorder = alerts = None
-            if want_recorder:
-                recorder = TimeSeriesRecorder(window_ns=window_ns)
+            if record:
+                recorder = TimeSeriesRecorder(
+                    window_ns=int(round(args.window_ms * 1e6))
+                )
                 alerts = AlertManager(
-                    _serve_alert_rules(args, slo_ms),
+                    _serve_alert_rules(args),
                     telemetry=telemetry,
                     track=f"alerts:{cell}",
                 ).attach(recorder)
@@ -655,7 +644,9 @@ def _cmd_serve(args) -> int:
                 labels={"strategy": strategy.value, "mix": args.arrivals},
                 recorder=recorder,
                 auditor=auditor,
-                track=f"serve:{cell}" if flight else None,
+                track=(
+                    f"serve:{cell}" if record or auditor is not None else None
+                ),
                 tracer=tracer.scoped(cell) if tracer is not None else None,
             )
             result = engine.run(
@@ -666,31 +657,24 @@ def _cmd_serve(args) -> int:
                     seed=args.seed,
                 )
             )
-            tail = (
-                _cell_tail(tracer, cell)
-                if tracer is not None and args.trace_requests
-                else None
-            )
-            rows.append(
-                StrategySlo.from_result(
-                    result,
-                    strategy=strategy.value,
-                    mix=args.arrivals,
-                    rate_per_s=rate,
-                    duration_s=args.duration,
-                    tail=tail,
-                )
-            )
-            if recorder is not None:
-                cells.append(
-                    {
-                        "strategy": strategy.value,
-                        "mix": args.arrivals,
-                        "rate_per_s": rate,
-                        "timeseries": recorder.to_json_dict(),
-                        "alerts": alerts.to_json_dict(),
-                    }
-                )
+            runs.append((strategy.value, rate, cell, result, recorder, alerts))
+    return runs
+
+
+def _cmd_serve(args) -> int:
+    """Play open-loop traffic against warm pools; print the SLO report."""
+    from repro.serve import SloReport, StrategySlo
+
+    record = args.timeseries_out is not None
+    # the tracer rides along whenever a flight recorder runs (so firing
+    # alerts carry exemplar trace ids) or --trace-requests asked for the
+    # SLO tail section; plain runs stay tracer-free and byte-identical
+    tracer = RequestTracer(args.seed) if record or args.trace_requests else None
+    telemetry = Telemetry(tracer=tracer)
+    auditor = KaslrAuditor(telemetry=telemetry) if args.audit else None
+    runs = _run_serve_cells(args, telemetry, auditor, record)
+    if runs is None:
+        return 2
     report = SloReport(
         seed=args.seed,
         function=args.function,
@@ -702,46 +686,61 @@ def _cmd_serve(args) -> int:
         queue_cap=args.queue_cap,
         deadline_ms=args.deadline_ms,
         samples_per_strategy=args.samples,
-        rows=tuple(rows),
+        rows=tuple(
+            StrategySlo.from_result(
+                result,
+                strategy=strategy,
+                mix=args.arrivals,
+                rate_per_s=rate,
+                duration_s=args.duration,
+                tail=(
+                    _cell_tail(tracer, cell)
+                    if tracer is not None and args.trace_requests
+                    else None
+                ),
+            )
+            for strategy, rate, cell, result, _rec, _alerts in runs
+        ),
     )
     if args.json:
         sys.stdout.write(report.to_json())
-        _emit_telemetry(args, telemetry)
-        _emit_serve_flight(args, cells, auditor)
-        return 0
-    print(
-        render_table(
-            ["strategy", "rate/s", "served", "failed", "cold%",
-             "p50 ms", "p99 ms", "peak q", "busy"],
-            [
+    else:
+        print(
+            render_table(
+                ["strategy", "rate/s", "served", "failed", "cold%",
+                 "p50 ms", "p99 ms", "peak q", "busy"],
                 [
-                    r.strategy,
-                    f"{r.rate_per_s:g}",
-                    r.served,
-                    r.rejected + r.deadline_missed,
-                    f"{r.cold_frac * 100:.1f}",
-                    f"{r.p50_ms:.3f}",
-                    f"{r.p99_ms:.3f}",
-                    r.max_queue_depth,
-                    f"{r.provisioner_busy:.2f}",
-                ]
-                for r in report.rows
-            ],
-            title=f"{args.function} under {args.arrivals} arrivals "
-            f"({args.duration:g}s, pool {args.pool_min}..{args.pool_max})",
+                    [
+                        r.strategy,
+                        f"{r.rate_per_s:g}",
+                        r.served,
+                        r.rejected + r.deadline_missed,
+                        f"{r.cold_frac * 100:.1f}",
+                        f"{r.p50_ms:.3f}",
+                        f"{r.p99_ms:.3f}",
+                        r.max_queue_depth,
+                        f"{r.provisioner_busy:.2f}",
+                    ]
+                    for r in report.rows
+                ],
+                title=f"{args.function} under {args.arrivals} arrivals "
+                f"({args.duration:g}s, pool {args.pool_min}..{args.pool_max})",
+            )
         )
-    )
-    for r in report.rows:
-        if r.tail is not None:
-            print(f"  {r.strategy}@{r.rate_per_s:g}: {_format_tail(r.tail)}")
-            for s in r.tail["slowest"]:
-                print(
-                    f"    {s['trace_id']}  req {s['request']}  "
-                    f"{s['latency_ms']:.3f} ms  "
-                    f"{'cold' if s['cold'] else 'warm'}"
-                )
+        for r in report.rows:
+            if r.tail is not None:
+                print(f"  {r.strategy}@{r.rate_per_s:g}: {_format_tail(r.tail)}")
+                for s in r.tail["slowest"]:
+                    print(
+                        f"    {s['trace_id']}  req {s['request']}  "
+                        f"{s['latency_ms']:.3f} ms  "
+                        f"{'cold' if s['cold'] else 'warm'}"
+                    )
     _emit_telemetry(args, telemetry)
-    _emit_serve_flight(args, cells, auditor)
+    if args.timeseries_out:
+        _write_text(args.timeseries_out, _dump_json(_flight_doc(args, runs)))
+    if auditor is not None:
+        _write_text(args.audit_out, _dump_json(auditor.to_json_dict()))
     return 0
 
 
@@ -749,18 +748,21 @@ def _cmd_serve(args) -> int:
 _TAIL_TOP_K = 3
 
 
-def _cell_tail(tracer: RequestTracer, cell: str, top: int = _TAIL_TOP_K) -> dict | None:
-    """One cell's tail attribution + slowest exemplars, JSON-shaped.
+def _cell_paths(tracer: RequestTracer, cell: str) -> list:
+    """The critical paths of one cell's requests.
 
     Conservation is enforced on the way through: ``request_paths``
     re-checks every critical path (segments must sum *exactly* to the
     request latency) before anything is aggregated.
     """
-    paths = request_paths(
-        ctx
-        for ctx in tracer.traces()
-        if ctx.key.startswith(f"{cell}/req/")
+    return request_paths(
+        ctx for ctx in tracer.traces() if ctx.key.startswith(f"{cell}/req/")
     )
+
+
+def _cell_tail(tracer: RequestTracer, cell: str, top: int = _TAIL_TOP_K) -> dict | None:
+    """One cell's tail attribution + slowest exemplars, JSON-shaped."""
+    paths = _cell_paths(tracer, cell)
     att = tail_attribution(paths)
     if att is None:
         return None
@@ -791,8 +793,14 @@ def _format_tail(tail: dict) -> str:
     )
 
 
-def _serve_alert_rules(args, slo_ms: float) -> tuple:
-    """The default serve alert set: latency threshold + cold-start burn."""
+def _serve_alert_rules(args) -> tuple:
+    """The default serve alert set: latency threshold + cold-start burn.
+
+    The p99 threshold is ``--slo-p99-ms``, else the request deadline.
+    """
+    slo_ms = (
+        args.slo_p99_ms if args.slo_p99_ms is not None else args.deadline_ms
+    )
     return (
         AlertRule(
             "p99-above-slo",
@@ -813,120 +821,38 @@ def _serve_alert_rules(args, slo_ms: float) -> tuple:
     )
 
 
-def _emit_serve_flight(args, cells: list, auditor) -> None:
-    """Write the per-cell flight-recorder document and the audit report."""
-    if getattr(args, "timeseries_out", None):
-        doc = {
-            "schema_version": 1,
-            "window_ms": round(args.window_ms, 6),
-            "cells": cells,
-        }
-        _write_text(args.timeseries_out, _dump_json(doc))
-    if auditor is not None:
-        _write_text(args.audit_out, _dump_json(auditor.to_json_dict()))
+def _flight_doc(args, runs: list) -> dict:
+    """The per-cell flight-recorder document of a recorded serve run."""
+    return {
+        "schema_version": 1,
+        "window_ms": round(args.window_ms, 6),
+        "cells": [
+            {
+                "strategy": strategy,
+                "mix": args.arrivals,
+                "rate_per_s": rate,
+                "timeseries": recorder.to_json_dict(),
+                "alerts": alerts.to_json_dict(),
+            }
+            for strategy, rate, _cell, _result, recorder, alerts in runs
+        ],
+    }
 
 
 def _cmd_watch(args) -> int:
     """Flight-recorder view of one serve cell: window table + alerts."""
-    from repro.serve import (
-        ArrivalSpec,
-        AutoscalePolicy,
-        SampledBackend,
-        ServeConfig,
-        ServeEngine,
-    )
-    from repro.workloads import FUNCTIONS, InstanceStrategy, ServerlessPlatform
-
-    if args.function not in FUNCTIONS:
-        print(
-            f"unknown function {args.function!r}; "
-            f"known: {', '.join(sorted(FUNCTIONS))}",
-            file=sys.stderr,
-        )
-        return 2
-    spec = FUNCTIONS[args.function]
-    strategy = InstanceStrategy(args.strategy)
-    mode = RandomizeMode(args.mode)
-    tracer = RequestTracer(args.seed)
-    telemetry = Telemetry(tracer=tracer)
-    scope = telemetry.scoped(strategy=strategy.value)
-    vmm = _make_vmm(args, telemetry=scope)
-    kernel = get_kernel(args.kernel, _MODE_VARIANT[mode], scale=args.scale)
-    platform = ServerlessPlatform(
-        vmm,
-        lambda seed, k=kernel, m=mode: VmConfig(
-            kernel=k, randomize=m, seed=seed
-        ),
-        strategy=strategy,
-    )
-    backend = SampledBackend.from_platform(
-        platform,
-        spec,
-        n_samples=args.samples,
-        seed=args.seed,
-        tracer=tracer.scoped(strategy.value),
-    )
-    config = ServeConfig(
-        policy=AutoscalePolicy(
-            min_ready=args.pool_min,
-            max_ready=args.pool_max,
-            scale_up_depth=args.scale_up_depth,
-            idle_ns=int(round(args.idle_ms * 1e6)),
-        ),
-        provisioners=args.provisioners,
-        queue_cap=args.queue_cap,
-        deadline_ns=int(round(args.deadline_ms * 1e6)),
-    )
-    cell = f"{strategy.value}@{args.rate:g}"
-    recorder = TimeSeriesRecorder(
-        window_ns=int(round(args.window_ms * 1e6))
-    )
-    slo_ms = (
-        args.slo_p99_ms if args.slo_p99_ms is not None else args.deadline_ms
-    )
-    alerts = AlertManager(
-        _serve_alert_rules(args, slo_ms),
-        telemetry=telemetry,
-        track=f"alerts:{cell}",
-    ).attach(recorder)
+    telemetry = Telemetry(tracer=RequestTracer(args.seed))
     auditor = KaslrAuditor(telemetry=telemetry) if args.audit else None
-    engine = ServeEngine(
-        backend,
-        config,
-        telemetry=scope,
-        labels={"strategy": strategy.value, "mix": args.arrivals},
-        recorder=recorder,
-        auditor=auditor,
-        track=f"serve:{cell}",
-        tracer=tracer.scoped(cell),
-    )
-    engine.run(
-        ArrivalSpec(
-            rate_per_s=args.rate,
-            duration_s=args.duration,
-            mix=args.arrivals,
-            seed=args.seed,
-        )
-    )
-    transitions = alerts.to_json_dict()["transitions"]
+    runs = _run_serve_cells(args, telemetry, auditor, record=True)
+    if runs is None:
+        return 2
     if args.json:
-        doc = {
-            "schema_version": 1,
-            "window_ms": round(args.window_ms, 6),
-            "cells": [
-                {
-                    "strategy": strategy.value,
-                    "mix": args.arrivals,
-                    "rate_per_s": args.rate,
-                    "timeseries": recorder.to_json_dict(),
-                    "alerts": alerts.to_json_dict(),
-                }
-            ],
-        }
+        doc = _flight_doc(args, runs)
         if auditor is not None:
             doc["audit"] = auditor.to_json_dict()
         sys.stdout.write(_dump_json(doc))
         return 0
+    [(_strategy, _rate, cell, _result, recorder, alerts)] = runs
 
     def cnt(frame, series: str) -> int:
         return int(frame.value(series, "delta") or 0)
@@ -952,19 +878,19 @@ def _cmd_watch(args) -> int:
             f"(window {args.window_ms:g} ms)",
         )
     )
-    if transitions:
-        for t in transitions:
-            value = "-" if t["value"] is None else f"{t['value']:g}"
-            traces = (
-                " traces=" + ",".join(t["exemplars"])
-                if t.get("exemplars")
-                else ""
-            )
-            print(
-                f"  [{t['at_ms']:9.1f} ms] {t['rule']}: "
-                f"{t['from']} -> {t['to']} (value {value}){traces}"
-            )
-    else:
+    transitions = alerts.to_json_dict()["transitions"]
+    for t in transitions:
+        value = "-" if t["value"] is None else f"{t['value']:g}"
+        traces = (
+            " traces=" + ",".join(t["exemplars"])
+            if t.get("exemplars")
+            else ""
+        )
+        print(
+            f"  [{t['at_ms']:9.1f} ms] {t['rule']}: "
+            f"{t['from']} -> {t['to']} (value {value}){traces}"
+        )
+    if not transitions:
         print("  no alert transitions")
     if auditor is not None:
         for name, audit in sorted(
@@ -987,101 +913,29 @@ def _cmd_trace(args) -> int:
     a *separate* ``repro serve``/``repro watch`` invocation — rerun the
     same flight shape here and ``--trace-id`` lands on the same tree.
     """
-    from repro.serve import (
-        ArrivalSpec,
-        AutoscalePolicy,
-        SampledBackend,
-        ServeConfig,
-        ServeEngine,
-    )
-    from repro.workloads import FUNCTIONS, InstanceStrategy, ServerlessPlatform
-
-    strategies = (
-        list(InstanceStrategy)
-        if args.strategy == "all"
-        else [InstanceStrategy(args.strategy)]
-    )
-    rates = args.rate or [40.0]
-    if args.function not in FUNCTIONS:
-        print(
-            f"unknown function {args.function!r}; "
-            f"known: {', '.join(sorted(FUNCTIONS))}",
-            file=sys.stderr,
-        )
-        return 2
-    spec = FUNCTIONS[args.function]
-    mode = RandomizeMode(args.mode)
-    config = ServeConfig(
-        policy=AutoscalePolicy(
-            min_ready=args.pool_min,
-            max_ready=args.pool_max,
-            scale_up_depth=args.scale_up_depth,
-            idle_ns=int(round(args.idle_ms * 1e6)),
-        ),
-        provisioners=args.provisioners,
-        queue_cap=args.queue_cap,
-        deadline_ns=int(round(args.deadline_ms * 1e6)),
-    )
     tracer = RequestTracer(args.seed)
-    telemetry = Telemetry(tracer=tracer)
+    runs = _run_serve_cells(args, Telemetry(tracer=tracer))
+    if runs is None:
+        return 2
     cells = []
-    for strategy in strategies:
-        scope = telemetry.scoped(strategy=strategy.value)
-        vmm = _make_vmm(args, telemetry=scope)
-        kernel = get_kernel(args.kernel, _MODE_VARIANT[mode], scale=args.scale)
-        platform = ServerlessPlatform(
-            vmm,
-            lambda seed, k=kernel, m=mode: VmConfig(
-                kernel=k, randomize=m, seed=seed
-            ),
-            strategy=strategy,
+    for strategy, rate, cell, result, _rec, _alerts in runs:
+        paths = _cell_paths(tracer, cell)
+        att = tail_attribution(paths)
+        top = slowest(paths, args.top)
+        cells.append(
+            {
+                "strategy": strategy,
+                "mix": args.arrivals,
+                "rate_per_s": rate,
+                "arrivals": result.arrivals,
+                "served": result.served,
+                "tail": att.to_json() if att is not None else None,
+                "slowest": [p.to_json() for p in top],
+                "traces": {
+                    p.trace_id: tracer.get(p.trace_id).to_json() for p in top
+                },
+            }
         )
-        backend = SampledBackend.from_platform(
-            platform,
-            spec,
-            n_samples=args.samples,
-            seed=args.seed,
-            tracer=tracer.scoped(strategy.value),
-        )
-        for rate in rates:
-            cell = f"{strategy.value}@{rate:g}"
-            engine = ServeEngine(
-                backend,
-                config,
-                telemetry=scope,
-                labels={"strategy": strategy.value, "mix": args.arrivals},
-                tracer=tracer.scoped(cell),
-            )
-            result = engine.run(
-                ArrivalSpec(
-                    rate_per_s=rate,
-                    duration_s=args.duration,
-                    mix=args.arrivals,
-                    seed=args.seed,
-                )
-            )
-            paths = request_paths(
-                ctx
-                for ctx in tracer.traces()
-                if ctx.key.startswith(f"{cell}/req/")
-            )
-            att = tail_attribution(paths)
-            top = slowest(paths, args.top)
-            cells.append(
-                {
-                    "strategy": strategy.value,
-                    "mix": args.arrivals,
-                    "rate_per_s": rate,
-                    "arrivals": result.arrivals,
-                    "served": result.served,
-                    "tail": att.to_json() if att is not None else None,
-                    "slowest": [p.to_json() for p in top],
-                    "traces": {
-                        p.trace_id: tracer.get(p.trace_id).to_json()
-                        for p in top
-                    },
-                }
-            )
     if args.trace_id:
         ctx = tracer.get(args.trace_id)
         if ctx is None:
@@ -1204,10 +1058,11 @@ def _add_alert_flags(parser: argparse.ArgumentParser) -> None:
                              "before the alert fires (default 1)")
 
 
-def _add_fleet_options(parser: argparse.ArgumentParser) -> None:
+def _add_vm_flags(parser: argparse.ArgumentParser, mode: str) -> None:
+    """The VM-config flags ``_build_cfg`` reads; ``mode`` is the default."""
     parser.add_argument("--kernel", choices=sorted(PRESETS), default="aws")
     parser.add_argument("--mode", choices=[m.value for m in RandomizeMode],
-                        default="fgkaslr")
+                        default=mode)
     parser.add_argument("--format", choices=["vmlinux", "bzimage"],
                         default="vmlinux")
     parser.add_argument("--codec", default="lz4")
@@ -1216,6 +1071,10 @@ def _add_fleet_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--protocol", choices=[p.value for p in BootProtocol],
                         default="linux64")
     parser.add_argument("--mem", type=int, default=256, help="guest MiB")
+
+
+def _add_fleet_options(parser: argparse.ArgumentParser) -> None:
+    _add_vm_flags(parser, mode="fgkaslr")
     parser.add_argument("--count", "--vms", dest="count", type=int, default=64,
                         help="fleet size")
     parser.add_argument("--workers", type=int, default=None,
@@ -1239,6 +1098,60 @@ def _add_fleet_options(parser: argparse.ArgumentParser) -> None:
     _add_recorder_flags(parser, window_ms=50.0)
     parser.add_argument("--retries", type=int, default=1,
                         help="retry budget per failed boot (default 1)")
+
+
+def _add_serve_flags(
+    parser: argparse.ArgumentParser, single_cell: bool = False
+) -> None:
+    """The flags of one serve run, shared by ``serve``, ``trace``, ``watch``.
+
+    ``single_cell`` (``watch``) takes one ``--rate`` and one strategy.
+    """
+    parser.add_argument("--kernel", choices=sorted(PRESETS), default="aws")
+    parser.add_argument("--mode", choices=[m.value for m in RandomizeMode],
+                        default="kaslr")
+    parser.add_argument("--function", default="api-echo",
+                        help="workload function (see repro.workloads.FUNCTIONS)")
+    parser.add_argument("--arrivals",
+                        choices=["poisson", "bursty", "diurnal"],
+                        default="poisson", help="open-loop traffic shape")
+    if single_cell:
+        parser.add_argument("--rate", type=float, default=40.0, metavar="PER_S",
+                            help="offered load in requests/s (default 40)")
+    else:
+        parser.add_argument("--rate", type=float, action="append",
+                            metavar="PER_S",
+                            help="offered load in requests/s (repeatable; "
+                                 "default 40)")
+    parser.add_argument("--duration", type=float, default=10.0,
+                        help="simulated seconds of traffic (default 10)")
+    strategies = ["cold-boot", "restore", "restore-rebase"]
+    if single_cell:
+        parser.add_argument("--strategy", choices=strategies,
+                            default="restore",
+                            help="instance production strategy "
+                                 "(default restore)")
+    else:
+        parser.add_argument("--strategy", choices=strategies + ["all"],
+                            default="all", help="instance production strategy")
+    parser.add_argument("--seed", type=int, default=1,
+                        help="seed for traffic and production sampling")
+    parser.add_argument("--samples", type=int, default=8,
+                        help="real productions measured per strategy")
+    parser.add_argument("--pool-min", type=int, default=2,
+                        help="warm-pool floor (prewarmed instances)")
+    parser.add_argument("--pool-max", type=int, default=16,
+                        help="warm-pool ceiling (autoscale cap)")
+    parser.add_argument("--scale-up-depth", type=int, default=2,
+                        help="queue depth that triggers scale-up")
+    parser.add_argument("--idle-ms", type=float, default=2000.0,
+                        help="idle time before scale-down to the floor")
+    parser.add_argument("--provisioners", type=int, default=4,
+                        help="parallel instance-production slots")
+    parser.add_argument("--queue-cap", type=int, default=64,
+                        help="admission queue bound (beyond it: rejected)")
+    parser.add_argument("--deadline-ms", type=float, default=30000.0,
+                        help="queued-request timeout")
 
 
 def _add_fault_flags(parser: argparse.ArgumentParser) -> None:
@@ -1291,16 +1204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     boot = sub.add_parser("boot", parents=[common],
                           help="boot one microVM and print the breakdown")
-    boot.add_argument("--kernel", choices=sorted(PRESETS), default="aws")
-    boot.add_argument("--mode", choices=[m.value for m in RandomizeMode],
-                      default="kaslr")
-    boot.add_argument("--format", choices=["vmlinux", "bzimage"], default="vmlinux")
-    boot.add_argument("--codec", default="lz4")
-    boot.add_argument("--optimized", action="store_true",
-                      help="compression-none-optimized bzImage layout")
-    boot.add_argument("--protocol", choices=[p.value for p in BootProtocol],
-                      default="linux64")
-    boot.add_argument("--mem", type=int, default=256, help="guest MiB")
+    _add_vm_flags(boot, mode="kaslr")
     boot.add_argument("--seed", type=int, default=1)
     boot.add_argument("--boots", type=int, default=1, help="measure N boots")
     boot.add_argument("--cold", action="store_true", help="drop caches first")
@@ -1407,41 +1311,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="serverless control plane: open-loop traffic against warm "
              "pools; prints the SLO report",
     )
-    serve.add_argument("--kernel", choices=sorted(PRESETS), default="aws")
-    serve.add_argument("--mode", choices=[m.value for m in RandomizeMode],
-                       default="kaslr")
-    serve.add_argument("--function", default="api-echo",
-                       help="workload function (see repro.workloads.FUNCTIONS)")
-    serve.add_argument("--arrivals",
-                       choices=["poisson", "bursty", "diurnal"],
-                       default="poisson", help="open-loop traffic shape")
-    serve.add_argument("--rate", type=float, action="append", metavar="PER_S",
-                       help="offered load in requests/s (repeatable; "
-                            "default 40)")
-    serve.add_argument("--duration", type=float, default=10.0,
-                       help="simulated seconds of traffic (default 10)")
-    serve.add_argument("--strategy",
-                       choices=["cold-boot", "restore", "restore-rebase",
-                                "all"],
-                       default="all", help="instance production strategy")
-    serve.add_argument("--seed", type=int, default=1,
-                       help="seed for traffic and production sampling")
-    serve.add_argument("--samples", type=int, default=8,
-                       help="real productions measured per strategy")
-    serve.add_argument("--pool-min", type=int, default=2,
-                       help="warm-pool floor (prewarmed instances)")
-    serve.add_argument("--pool-max", type=int, default=16,
-                       help="warm-pool ceiling (autoscale cap)")
-    serve.add_argument("--scale-up-depth", type=int, default=2,
-                       help="queue depth that triggers scale-up")
-    serve.add_argument("--idle-ms", type=float, default=2000.0,
-                       help="idle time before scale-down to the floor")
-    serve.add_argument("--provisioners", type=int, default=4,
-                       help="parallel instance-production slots")
-    serve.add_argument("--queue-cap", type=int, default=64,
-                       help="admission queue bound (beyond it: rejected)")
-    serve.add_argument("--deadline-ms", type=float, default=30000.0,
-                       help="queued-request timeout")
+    _add_serve_flags(serve)
     serve.add_argument("--json", action="store_true",
                        help="emit the SLO report as canonical JSON")
     serve.add_argument("--trace-requests", action="store_true",
@@ -1458,41 +1328,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay a seeded serve flight and resolve request span "
              "trees, critical paths, and tail attribution",
     )
-    trace.add_argument("--kernel", choices=sorted(PRESETS), default="aws")
-    trace.add_argument("--mode", choices=[m.value for m in RandomizeMode],
-                       default="kaslr")
-    trace.add_argument("--function", default="api-echo",
-                       help="workload function (see repro.workloads.FUNCTIONS)")
-    trace.add_argument("--arrivals",
-                       choices=["poisson", "bursty", "diurnal"],
-                       default="poisson", help="open-loop traffic shape")
-    trace.add_argument("--rate", type=float, action="append", metavar="PER_S",
-                       help="offered load in requests/s (repeatable; "
-                            "default 40)")
-    trace.add_argument("--duration", type=float, default=10.0,
-                       help="simulated seconds of traffic (default 10)")
-    trace.add_argument("--strategy",
-                       choices=["cold-boot", "restore", "restore-rebase",
-                                "all"],
-                       default="all", help="instance production strategy")
-    trace.add_argument("--seed", type=int, default=1,
-                       help="seed for traffic and production sampling")
-    trace.add_argument("--samples", type=int, default=8,
-                       help="real productions measured per strategy")
-    trace.add_argument("--pool-min", type=int, default=2,
-                       help="warm-pool floor (prewarmed instances)")
-    trace.add_argument("--pool-max", type=int, default=16,
-                       help="warm-pool ceiling (autoscale cap)")
-    trace.add_argument("--scale-up-depth", type=int, default=2,
-                       help="queue depth that triggers scale-up")
-    trace.add_argument("--idle-ms", type=float, default=2000.0,
-                       help="idle time before scale-down to the floor")
-    trace.add_argument("--provisioners", type=int, default=4,
-                       help="parallel instance-production slots")
-    trace.add_argument("--queue-cap", type=int, default=64,
-                       help="admission queue bound (beyond it: rejected)")
-    trace.add_argument("--deadline-ms", type=float, default=30000.0,
-                       help="queued-request timeout")
+    _add_serve_flags(trace)
     trace.add_argument("--trace-id", default=None, metavar="ID",
                        help="resolve one trace id (e.g. an alert exemplar) "
                             "and print its span tree")
@@ -1508,40 +1344,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="flight recorder for one serve cell: per-window counters, "
              "alert transitions, and the live KASLR entropy audit",
     )
-    watch.add_argument("--kernel", choices=sorted(PRESETS), default="aws")
-    watch.add_argument("--mode", choices=[m.value for m in RandomizeMode],
-                       default="kaslr")
-    watch.add_argument("--function", default="api-echo",
-                       help="workload function (see repro.workloads.FUNCTIONS)")
-    watch.add_argument("--arrivals",
-                       choices=["poisson", "bursty", "diurnal"],
-                       default="poisson", help="open-loop traffic shape")
-    watch.add_argument("--rate", type=float, default=40.0, metavar="PER_S",
-                       help="offered load in requests/s (default 40)")
-    watch.add_argument("--duration", type=float, default=10.0,
-                       help="simulated seconds of traffic (default 10)")
-    watch.add_argument("--strategy",
-                       choices=["cold-boot", "restore", "restore-rebase"],
-                       default="restore",
-                       help="instance production strategy (default restore)")
-    watch.add_argument("--seed", type=int, default=1,
-                       help="seed for traffic and production sampling")
-    watch.add_argument("--samples", type=int, default=8,
-                       help="real productions measured per strategy")
-    watch.add_argument("--pool-min", type=int, default=2,
-                       help="warm-pool floor (prewarmed instances)")
-    watch.add_argument("--pool-max", type=int, default=16,
-                       help="warm-pool ceiling (autoscale cap)")
-    watch.add_argument("--scale-up-depth", type=int, default=2,
-                       help="queue depth that triggers scale-up")
-    watch.add_argument("--idle-ms", type=float, default=2000.0,
-                       help="idle time before scale-down to the floor")
-    watch.add_argument("--provisioners", type=int, default=4,
-                       help="parallel instance-production slots")
-    watch.add_argument("--queue-cap", type=int, default=64,
-                       help="admission queue bound (beyond it: rejected)")
-    watch.add_argument("--deadline-ms", type=float, default=30000.0,
-                       help="queued-request timeout")
+    _add_serve_flags(watch, single_cell=True)
     watch.add_argument("--window-ms", type=float, default=1000.0,
                        help="flight-recorder window width (default 1000)")
     watch.add_argument("--audit", action="store_true",

@@ -16,7 +16,7 @@ strategy:
   ``1/pool_size`` (the zygote's single layout, re-served);
 * **duplicate detections** — boots whose digest was already live;
 * **empirical entropy bits** — Shannon entropy of the observed layout
-  distribution, via :func:`repro.security.entropy.empirical_entropy_bits`
+  distribution, via :func:`repro.security.entropy.entropy_bits_of_counts`
   (a fleet of clones reads ~0 bits regardless of per-boot KASLR);
 * **address-validity lifetime** — per digest, how long a leaked address
   would have stayed correct: from the digest's first appearance to the
@@ -34,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from repro.core.layout_result import LayoutResult
-from repro.security.entropy import empirical_entropy_bits
+from repro.security.entropy import entropy_bits_of_counts
 
 __all__ = ["KaslrAuditor", "layout_digest"]
 
@@ -78,6 +78,8 @@ class KaslrAuditor:
         self.telemetry = telemetry
         self._lock = threading.Lock()
         self._strategies: dict[str, _StrategyAudit] = {}
+        #: registry instruments by (name, strategy); see ``_handle``
+        self._handles: dict[tuple[str, str], object] = {}
 
     # -- feeding ---------------------------------------------------------------
 
@@ -115,9 +117,7 @@ class KaslrAuditor:
             audit.counts[digest] = audit.counts.get(digest, 0) + 1
             distinct = len(audit.digests)
             boots = audit.boots
-            entropy = empirical_entropy_bits(
-                d for d, n in audit.counts.items() for _ in range(n)
-            )
+            entropy = entropy_bits_of_counts(audit.counts.values())
         self._export(strategy, boots, distinct, entropy, duplicate)
         return digest
 
@@ -145,28 +145,38 @@ class KaslrAuditor:
     ) -> None:
         if self.telemetry is None:
             return
-        registry = self.telemetry.registry
-        registry.counter(
-            "repro_audit_boots_total",
-            help="Boots fingerprinted by the KASLR auditor",
-            strategy=strategy,
+        self._handle(
+            "counter", "repro_audit_boots_total",
+            "Boots fingerprinted by the KASLR auditor", strategy,
         ).inc()
         if duplicate:
-            registry.counter(
-                "repro_audit_duplicate_layouts_total",
-                help="Boots that came up with an already-live layout",
-                strategy=strategy,
+            self._handle(
+                "counter", "repro_audit_duplicate_layouts_total",
+                "Boots that came up with an already-live layout", strategy,
             ).inc()
-        registry.gauge(
-            "repro_audit_distinct_layout_fraction",
-            help="Distinct layout digests / boots (1.0 = fully diverse)",
-            strategy=strategy,
+        self._handle(
+            "gauge", "repro_audit_distinct_layout_fraction",
+            "Distinct layout digests / boots (1.0 = fully diverse)", strategy,
         ).set(round(distinct / boots, 6))
-        registry.gauge(
-            "repro_audit_entropy_bits",
-            help="Shannon entropy of the observed layout distribution",
-            strategy=strategy,
+        self._handle(
+            "gauge", "repro_audit_entropy_bits",
+            "Shannon entropy of the observed layout distribution", strategy,
         ).set(round(entropy, 4))
+
+    def _handle(self, kind: str, name: str, help_text: str, strategy: str):
+        """The registry's ``kind`` instrument for (name, strategy).
+
+        Memoized per auditor; the first use creates it exactly as an
+        unmemoized lookup would, so families export at the same point.
+        """
+        key = (name, strategy)
+        handle = self._handles.get(key)
+        if handle is None:
+            factory = getattr(self.telemetry.registry, kind)
+            handle = self._handles[key] = factory(
+                name, help=help_text, strategy=strategy
+            )
+        return handle
 
     # -- reading ---------------------------------------------------------------
 
@@ -192,11 +202,7 @@ class KaslrAuditor:
                     ),
                     "duplicates": audit.duplicates,
                     "entropy_bits": round(
-                        empirical_entropy_bits(
-                            d for d, n in audit.counts.items()
-                            for _ in range(n)
-                        ),
-                        4,
+                        entropy_bits_of_counts(audit.counts.values()), 4
                     ),
                     "lifetime_ms": {
                         "mean": round(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Iterable
+from typing import Collection, Iterable
 
 from repro.core.layout_result import LayoutResult
 
@@ -26,12 +26,20 @@ def empirical_entropy_bits(samples: Iterable[int]) -> float:
     A plug-in estimate: with n samples over k equiprobable slots it
     approaches ``log2(k)`` from below as n grows.
     """
-    counts = Counter(samples)
-    total = sum(counts.values())
+    return entropy_bits_of_counts(Counter(samples).values())
+
+
+def entropy_bits_of_counts(counts: Collection[int]) -> float:
+    """Shannon entropy (bits) of a distribution given as sample counts.
+
+    The core of :func:`empirical_entropy_bits`, for callers that already
+    keep the counts (the live auditor).
+    """
+    total = sum(counts)
     if total == 0:
         return 0.0
     entropy = 0.0
-    for count in counts.values():
+    for count in counts:
         p = count / total
         entropy -= p * math.log2(p)
     return entropy
